@@ -1,5 +1,6 @@
 package repro.eval
 
+import scala.collection.immutable.ArraySeq
 import org.apache.spark.sql.SparkSession
 import repro.engine.{EngineFactory, GraphStore, WalkEngine}
 import repro.graph.{GraphGen, Update, UpdateGen, UpdateMode}
@@ -9,18 +10,19 @@ import repro.walk.Walks
   * graph updates, (ii) run the random-walk application; repeat for all
   * rounds and report the total time plus the engine's retained memory.
   *
-  * Parallelisation mirrors the GPU design through Spark: a round is one
-  * Spark job with one task per vertex slice (`v % P`, the 1-D partitioning
-  * of supplement §9.1); each task applies its vertices' updates and then
-  * runs its slice of the engine's per-round rebuild. Walks fan out as a
-  * Spark Dataset of walkers.
+  * Parallelisation mirrors the GPU design through Spark's RDD core: a
+  * round is one Spark job with one task per vertex slice (`v % P`, the 1-D
+  * partitioning of supplement §9.1); each task receives only its slice's
+  * updates, applies them per vertex and then runs its slice of the
+  * engine's per-round rebuild. Walks fan out as a range of walker ids, one
+  * partition per core.
   *
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
-  * analogue of GPU kernel time in the paper. Spark's fixed job-launch
-  * overhead (~tens of ms per round, identical for every system and ~100×
-  * the total algorithmic cost of a 1000-update batch at -lite scale) would
-  * otherwise drown the systems' algorithmic differences.
+  * analogue of GPU kernel time in the paper. Spark's per-job overhead
+  * outside the tasks (about 20–25 ms per job on a 4-vCPU box, identical for
+  * every system and about 10× the in-task cost of a 1000-update batch at
+  * -lite scale) would otherwise drown the systems' algorithmic differences.
   */
 object Bench {
 
@@ -51,24 +53,22 @@ object Bench {
   }
 
   /** Apply one update round as a single Spark job (one task per slice).
+    * The driver splits the batch by slice into primitive columns, and each
+    * task receives only its own slice's updates.
     *
     * @return critical-path seconds: the slowest task's in-task time
     */
   def applyRoundSpark(spark: SparkSession, handle: String, round: Seq[Update]): Double = {
-    import spark.implicits._
-    val p = math.max(1, spark.sparkContext.defaultParallelism)
-    val bySlice: Map[Int, Seq[Update]] = round.groupBy(u => u.src % p)
-    // spark.range(0, p, 1, p): exactly one slice per task
-    val taskNanos = spark
-      .range(0, p, 1, p)
-      .map { sliceL =>
-        val slice = sliceL.toInt
+    val sc = spark.sparkContext
+    val p = math.max(1, sc.defaultParallelism)
+    // p batches in p partitions: exactly one slice per task
+    val taskNanos = sc
+      .parallelize(splitBySlice(round, p).toSeq, p)
+      .map { batch =>
         val eng = GraphStore.get(handle)
         val t0 = System.nanoTime()
-        bySlice.get(slice).foreach {
-          _.groupBy(_.src).foreach { case (src, us) => eng.applyVertexUpdates(src, us.sortBy(_.ts)) }
-        }
-        eng.postRoundSlice(slice, p)
+        batch.applyTo(eng)
+        eng.postRoundSlice(batch.slice, p)
         System.nanoTime() - t0
       }
       .collect()
@@ -83,9 +83,8 @@ object Bench {
       walkers: Int,
       seed: Long,
   ): (Long, Double) = {
-    import spark.implicits._
-    val perTask = spark
-      .range(walkers)
+    val perTask = spark.sparkContext
+      .range(0L, walkers.toLong)
       .mapPartitions { it =>
         val eng = GraphStore.get(handle)
         val t0 = System.nanoTime()
@@ -99,6 +98,57 @@ object Bench {
       }
       .collect()
     (perTask.map(_._1).sum, perTask.map(_._2).max / 1e9)
+  }
+
+  /** One slice's updates (`src % p == slice`) in batch order, as columns. */
+  private final class SliceBatch(val slice: Int, capacity: Int) extends Serializable {
+    private val ts = new Array[Long](capacity)
+    private val insert = new Array[Boolean](capacity)
+    private val src = new Array[Int](capacity)
+    private val dst = new Array[Int](capacity)
+    private val bias = new Array[Double](capacity)
+    private var n = 0
+
+    def +=(u: Update): Unit = {
+      ts(n) = u.ts
+      insert(n) = u.insert
+      src(n) = u.src
+      dst(n) = u.dst
+      bias(n) = u.bias
+      n += 1
+    }
+
+    /** Apply each vertex's updates in `ts` order (a stable sort, as in `applyRoundLocal`). */
+    def applyTo(eng: WalkEngine): Unit = {
+      // (src, batch position) packed in one long: one primitive sort groups
+      // the updates by vertex and keeps batch order within a vertex
+      val keys = Array.tabulate(n)(i => (src(i).toLong << 32) | i)
+      java.util.Arrays.sort(keys)
+      var i = 0
+      while (i < n) {
+        val v = (keys(i) >>> 32).toInt
+        var j = i
+        while (j < n && (keys(j) >>> 32).toInt == v) j += 1
+        val us = Array.tabulate(j - i) { k =>
+          val x = keys(i + k).toInt
+          Update(ts(x), insert(x), v, dst(x), bias(x))
+        }
+        eng.applyVertexUpdates(v, ArraySeq.unsafeWrapArray(us.sortBy(_.ts)))
+        i = j
+      }
+    }
+  }
+
+  /** Split `round` into `p` slice batches: count, then fill. */
+  private def splitBySlice(round: Seq[Update], p: Int): Array[SliceBatch] = {
+    val counts = new Array[Int](p)
+    round.foreach { u =>
+      require(u.src >= 0, s"update $u has a negative src")
+      counts(u.src % p) += 1
+    }
+    val batches = Array.tabulate(p)(s => new SliceBatch(s, counts(s)))
+    round.foreach(u => batches(u.src % p) += u)
+    batches
   }
 
   /** Run one cell of Table 3: a (dataset, app, mode, framework) config. */

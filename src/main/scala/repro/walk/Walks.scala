@@ -8,11 +8,13 @@ import repro.engine.{GraphStore, WalkEngine}
 /** The random-walk applications of paper §6.1 over any [[WalkEngine]].
   *
   * Mirrors Bingo's kernels: random_walk_deepwalk, random_walk_node2vec,
-  * random_walk_ppr and random_walk_simple_sampling. Walkers are fanned out
-  * as a Spark `Dataset` (one row per walker, partitioned across cores — the
-  * stand-in for GPU thread parallelism); each task walks locally against the
-  * engine registered in [[GraphStore]], and results come back as DataFrames
-  * for downstream relational aggregation (visit counts etc.).
+  * random_walk_ppr and random_walk_simple_sampling. [[walkPath]] walks one
+  * walker against an engine; [[paths]] fans walkers out across Spark tasks
+  * (partitioned across cores — the stand-in for GPU thread parallelism), each
+  * walking locally against the engine registered in [[GraphStore]], and
+  * returns the paths as a DataFrame for relational aggregation (visit counts
+  * etc.). The benchmark's step-counting fan-out is
+  * [[repro.eval.Bench.runWalksSpark]].
   */
 object Walks {
 
@@ -132,26 +134,6 @@ object Walks {
         }
       }
       .toDF("walker", "pos", "vertex")
-  }
-
-  /** Run walks and return only the total number of steps sampled — the
-    * cheap bench action (avoids materialising paths on the driver).
-    */
-  def runCounted(spark: SparkSession, handle: String, app: WalkApp, numWalkers: Int, seed: Long): Long = {
-    import spark.implicits._
-    spark
-      .range(numWalkers)
-      .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        var steps = 0L
-        it.foreach { wid =>
-          val rng = walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          steps += walkPath(eng, app, start, rng).length - 1
-        }
-        Iterator.single(steps)
-      }
-      .reduce(_ + _)
   }
 
   /** Visit frequency per vertex — the PPR / SimRank / influence indicator

@@ -14,28 +14,83 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
 
   private val tinyParams = Bench.Params(batchSize = 50, rounds = 2, walkers = 64, walkLength = 10)
 
-  test("applyRoundSpark ≡ applyRoundLocal for every engine") {
-    val g = GraphGen.generate(GraphGen.AM)
-    val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, 200, 2, 17L)
-    Tables.frameworks.foreach { f =>
-      val viaSpark = f.build(g.numVertices, plan.initialEdges)
-      val viaLocal = f.build(g.numVertices, plan.initialEdges)
+  /** Apply `rounds` to two engines per framework, one through
+    * `applyRoundSpark` and one through `applyRoundLocal`; compare every
+    * vertex's out-degree and the exact distributions at `checked`.
+    */
+  private def assertSparkMatchesLocal(
+      n: Int,
+      initial: Seq[Edge],
+      rounds: Seq[Seq[Update]],
+      checked: WalkEngine => Seq[Int],
+  ): Seq[(WalkEngine, WalkEngine)] =
+    Tables.frameworks.map { f =>
+      val viaSpark = f.build(n, initial)
+      val viaLocal = f.build(n, initial)
       GraphStore.register("eval-spec-eq", viaSpark)
       try {
-        plan.rounds.foreach { r =>
+        rounds.foreach { r =>
           Bench.applyRoundSpark(spark, "eval-spec-eq", r)
           viaLocal.applyRoundLocal(r)
         }
       } finally GraphStore.remove("eval-spec-eq")
-      // spot-check exact distributions on the 50 highest-degree vertices
-      val hot = (0 until g.numVertices).sortBy(-viaLocal.outDegree(_)).take(50)
-      hot.foreach { u =>
+      (0 until n).foreach(u => assert(viaSpark.outDegree(u) == viaLocal.outDegree(u), s"${f.name} vertex $u"))
+      checked(viaLocal).foreach { u =>
         val a = viaSpark.exactDistribution(u)
         val b = viaLocal.exactDistribution(u)
         assert(a.keySet == b.keySet, s"${f.name} vertex $u")
         b.foreach { case (d, p) => StatCheck.assertProbEqual(a(d), p, 1e-9) }
       }
+      (viaSpark, viaLocal)
     }
+
+  test("applyRoundSpark ≡ applyRoundLocal for every engine") {
+    val g = GraphGen.generate(GraphGen.AM)
+    val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, 200, 2, 17L)
+    // spot-check exact distributions on the 50 highest-degree vertices
+    assertSparkMatchesLocal(g.numVertices, plan.initialEdges, plan.rounds, e =>
+      (0 until g.numVertices).sortBy(-e.outDegree(_)).take(50))
+
+    // A hand-built batch: only slices 0 and 1 receive updates, vertex `a`'s
+    // updates are listed out of ts order, and (a, 3) is inserted, deleted
+    // and re-inserted with a different bias.
+    val p = spark.sparkContext.defaultParallelism
+    val (a, b, c) = (0, 3 * p, p + 1)
+    val initial = Seq(Edge(a, 1, 2.0), Edge(a, 2, 5.0), Edge(b, 1, 1.0), Edge(b, 3, 4.0), Edge(1, a, 1.0))
+    val batch = Seq(
+      Update(15, insert = true, a, 3, 7.0),
+      Update(11, insert = true, a, 3, 3.0),
+      Update(16, insert = true, b, 2, 9.0),
+      Update(13, insert = false, a, 3, 0.0),
+      Update(12, insert = true, c, 2, 6.0),
+      Update(14, insert = false, b, 1, 0.0),
+    )
+    val engines = assertSparkMatchesLocal(3 * p + 1, initial, Seq(batch), _ => Seq(a, b, c, 1))
+    // applied in ts order, the delete removes the bias-3 copy of (a, 3)
+    val expected = Map(
+      a -> Map(1 -> 2.0 / 14, 2 -> 5.0 / 14, 3 -> 7.0 / 14),
+      b -> Map(3 -> 4.0 / 13, 2 -> 9.0 / 13),
+      c -> Map(2 -> 1.0),
+    )
+    engines.foreach { case (viaSpark, _) =>
+      expected.foreach { case (u, dist) =>
+        val got = viaSpark.exactDistribution(u)
+        assert(got.keySet == dist.keySet, s"${viaSpark.name} vertex $u: $got")
+        dist.foreach { case (d, q) => StatCheck.assertProbEqual(got(d), q, 1e-9) }
+      }
+    }
+  }
+
+  test("applyRoundSpark rejects a negative src before running any task") {
+    val eng = BingoEngine.factory().build(4, Seq(Edge(0, 1, 1.0)))
+    GraphStore.register("eval-spec-neg", eng)
+    try {
+      val bad = Seq(Update(1, insert = true, 0, 2, 1.0), Update(2, insert = true, -1, 2, 1.0))
+      val e = intercept[IllegalArgumentException](Bench.applyRoundSpark(spark, "eval-spec-neg", bad))
+      assert(e.getMessage.contains("negative src") && e.getMessage.contains("-1"))
+      assert(eng.outDegree(0) == 1) // the valid update in the batch was not applied either
+      intercept[IndexOutOfBoundsException](eng.applyRoundLocal(bad))
+    } finally GraphStore.remove("eval-spec-neg")
   }
 
   for (f <- Tables.frameworks) {
@@ -110,8 +165,8 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
     val eng = BingoEngine.factory().build(g.numVertices, g.edges)
     GraphStore.register("eval-spec-scale", eng)
     try {
-      val s1 = Walks.runCounted(spark, "eval-spec-scale", Walks.DeepWalk(5), 32, 1L)
-      val s2 = Walks.runCounted(spark, "eval-spec-scale", Walks.DeepWalk(10), 64, 1L)
+      val (s1, _) = Bench.runWalksSpark(spark, "eval-spec-scale", Walks.DeepWalk(5), 32, 1L)
+      val (s2, _) = Bench.runWalksSpark(spark, "eval-spec-scale", Walks.DeepWalk(10), 64, 1L)
       assert(s1 == 32 * 4)
       assert(s2 == 64 * 9)
     } finally GraphStore.remove("eval-spec-scale")

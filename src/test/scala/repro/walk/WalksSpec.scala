@@ -7,6 +7,7 @@ import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.{Oracle, SparkSpec, StatCheck}
 import repro.engine._
+import repro.eval.Bench
 import repro.graph._
 
 /** Random-walk applications: path validity, app-specific laws (node2vec
@@ -201,14 +202,22 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     } finally GraphStore.remove("walks-spec-1")
   }
 
-  test("runCounted equals paths row count minus starts") {
+  test("runWalksSpark steps equal paths row count minus starts and the serial walks") {
     val (v, edges) = mkGraph(28)
     val eng = BingoEngine.factory().build(v, edges)
     GraphStore.register("walks-spec-2", eng)
     try {
-      val steps = Walks.runCounted(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L)
+      val (steps, _) = Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L)
       val rows = Walks.paths(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L).count()
       assert(steps == rows - 32)
+      // a partitioning that drops or repeats walker ids changes the sum
+      // (101 walkers do not split evenly across tasks)
+      for (app <- Seq(Walks.DeepWalk(12), Walks.Ppr(1.0 / 10, 100), Walks.Node2vec(12, 0.5, 2.0))) {
+        val serial = (0L until 101L).map { wid =>
+          Walks.walkPath(eng, app, (wid % v).toInt, Walks.walkerRng(4L, wid)).length - 1L
+        }.sum
+        assert(Bench.runWalksSpark(spark, "walks-spec-2", app, 101, seed = 4L)._1 == serial, app.label)
+      }
     } finally GraphStore.remove("walks-spec-2")
   }
 
