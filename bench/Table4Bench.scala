@@ -21,10 +21,7 @@ class Table4Bench extends AnyFunSuite with SparkSpec {
     val g = repro.graph.GraphGen.generate(repro.graph.GraphGen.LJ)
     val plan = repro.graph.UpdateGen.plan(
       g.edges, repro.graph.UpdateMode.Mixed, Bench.Params().batchSize, Bench.Params().rounds, Bench.Params().seed)
-    val engine = new repro.engine.BingoEngine(g.numVertices)
-    plan.initialEdges.groupBy(_.src).foreach { case (src, es) =>
-      engine.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
+    val engine = repro.engine.BingoEngine.build(g.numVertices, plan.initialEdges)
     engine.conversions.reset()
     plan.rounds.foreach(engine.applyRoundLocal)
     val cs = engine.conversions

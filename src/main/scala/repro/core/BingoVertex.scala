@@ -5,16 +5,17 @@ import scala.collection.mutable.ArrayBuffer
 
 /** BINGO's per-vertex radix-factorized sampling structure (paper §4–§5).
   *
-  * Every neighbor occupies a *slot* in Hornet-style dynamic arrays
-  * (`dstArr`, `biasIntArr`, `decArr`). Each integer (λ-scaled) bias is
-  * decomposed by its set bits (Eq. 3); slots sharing bit `k` form radix
-  * group `p_k` with weight `|G_k|·2^k` (Eq. 4). Sampling is hierarchical
-  * (§4.1): an inter-group alias table picks a group in O(1), then uniform
-  * intra-group sampling picks a slot in O(1). Streaming insert/delete cost
-  * O(K) (§4.2); batched updates follow the paper's per-vertex
-  * insert → delete → rebuild workflow with the two-phase parallel
-  * delete-and-swap (§5.2, Fig. 10b). Groups adapt their representation
-  * (dense / one-element / sparse / regular, §5.1) to cut memory.
+  * Every neighbor occupies a *slot* of the Hornet-style [[SlotStore]], which
+  * this class extends with its bias columns (`biasIntArr`, `decArr`). Each
+  * integer (λ-scaled) bias is decomposed by its set bits (Eq. 3); slots
+  * sharing bit `k` form radix group `p_k` with weight `|G_k|·2^k` (Eq. 4).
+  * Sampling is hierarchical (§4.1): an inter-group alias table picks a group
+  * in O(1), then uniform intra-group sampling picks a slot in O(1).
+  * Streaming insert/delete cost O(K) (§4.2); batched updates follow the
+  * paper's per-vertex insert → delete → rebuild workflow with the two-phase
+  * parallel delete-and-swap (§5.2, Fig. 10b). Groups adapt their
+  * representation (dense / one-element / sparse / regular, §5.1) to cut
+  * memory.
   *
   * Duplicate edges are allowed; a deletion removes the *earliest* surviving
   * instance of (vertex, dst), per the paper's timestamped-duplicate rule.
@@ -32,19 +33,13 @@ final class BingoVertex(
     val alpha: Double = 40.0,
     val beta: Double = 10.0,
     val conversions: ConversionStats = null,
-) extends Serializable {
+) extends SlotStore(BingoVertex.InitialCap) {
 
   import BingoVertex._
 
-  // ---- Hornet-style dynamic neighbor arrays ("slots") -------------------
-  private var dstArr = new Array[Int](InitialCap)
+  // ---- Bias columns of the slots ----------------------------------------
   private var biasIntArr = new Array[Long](InitialCap) // λ-scaled integer part
-  private var rawBiasArr = new Array[Double](InitialCap) // pre-λ bias (introspection only)
   private var decArr: Array[Double] = null // decimal remainders; allocated on demand
-  private var d = 0
-
-  /** dst → slots holding an instance of (v, dst), in insertion (timestamp) order. */
-  private val slotsByDst = new java.util.HashMap[Int, ArrayBuffer[Int]]()
 
   // ---- Radix groups ------------------------------------------------------
   private val groups = new Array[Group](Radix.MaxBits + 1)
@@ -64,12 +59,8 @@ final class BingoVertex(
   // Public API
   // =======================================================================
 
-  def degree: Int = d
-  def dstAt(slot: Int): Int = dstArr(slot)
-  def rawBiasAt(slot: Int): Double = rawBiasArr(slot)
   def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot)
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
-  def contains(dst: Int): Boolean = { val b = slotsByDst.get(dst); b != null && b.nonEmpty }
 
   /** Total λ-scaled mass Σ(int + dec) — the sampling normaliser. */
   def totalMass: Double = {
@@ -88,7 +79,7 @@ final class BingoVertex(
     * O(K) total.
     */
   def insert(dst: Int, bias: Double): Unit = {
-    val slot = appendSlot(dst, bias)
+    val slot = appendNeighbor(dst, bias)
     var rest = biasIntArr(slot)
     while (rest != 0) {
       val k = java.lang.Long.numberOfTrailingZeros(rest)
@@ -107,10 +98,8 @@ final class BingoVertex(
     * @return false if no instance of (v, dst) exists
     */
   def delete(dst: Int): Boolean = {
-    val buf = slotsByDst.get(dst)
-    if (buf == null || buf.isEmpty) return false
-    val slot = buf.remove(0)
-    if (buf.isEmpty) slotsByDst.remove(dst)
+    val slot = takeEarliest(dst)
+    if (slot < 0) return false
 
     val bits = biasIntArr(slot)
     var rest = bits
@@ -146,7 +135,7 @@ final class BingoVertex(
 
     // -- insert phase: append slots; groups absorb without reclassification
     inserts.foreach { case (dst, bias) =>
-      val slot = appendSlot(dst, bias)
+      val slot = appendNeighbor(dst, bias)
       touchedBits |= biasIntArr(slot)
       var rest = biasIntArr(slot)
       while (rest != 0) {
@@ -161,10 +150,8 @@ final class BingoVertex(
     val delSlots = new java.util.HashSet[Integer]()
     var applied = 0
     deletes.foreach { dst =>
-      val buf = slotsByDst.get(dst)
-      if (buf != null && buf.nonEmpty) {
-        val slot = buf.remove(0)
-        if (buf.isEmpty) slotsByDst.remove(dst)
+      val slot = takeEarliest(dst)
+      if (slot >= 0) {
         delSlots.add(slot)
         applied += 1
       }
@@ -201,7 +188,7 @@ final class BingoVertex(
       perGroup.forEach { (k, positions) => twoPhaseGroupCompact(groups(k), positions) }
       perGroup.forEach { (k, _) => if (groups(k) != null && groups(k).count == 0) groups(k) = null }
       // slot-array two-phase compaction
-      twoPhaseSlotCompact(delSlots)
+      compactSlots(delSlots)
     }
 
     // -- rebuild phase: conversions + decimal stats + inter-group alias
@@ -259,8 +246,8 @@ final class BingoVertex(
 
   /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */
   def expectedProbabilityOf(dst: Int): Double = {
-    val buf = slotsByDst.get(dst)
-    if (buf == null || buf.isEmpty) return 0.0
+    val buf = slotsOf(dst)
+    if (buf == null) return 0.0
     var w = 0.0
     buf.foreach(s => w += biasIntArr(s).toDouble + decimalAt(s))
     w / totalMass
@@ -314,13 +301,11 @@ final class BingoVertex(
   def decimalGroupSize: Int = decLen
 
   /** Retained bytes of the sampling structures (adjacency slots + groups +
-    * inverted indexes + decimal group + inter-group alias). `rawBiasArr` is
-    * test instrumentation and excluded.
+    * inverted indexes + decimal group + inter-group alias).
     */
   def memoryBytes: Long = {
-    var m = dstArr.length.toLong * (4 + 8) // dst + scaled bias
+    var m = slotBytes + biasIntArr.length.toLong * 8 // dst + index + scaled bias
     if (decArr != null) m += decArr.length.toLong * 8
-    m += slotsByDst.size().toLong * 24 // dst index entries (approx.)
     var k = 0
     while (k <= Radix.MaxBits) {
       val g = groups(k)
@@ -374,12 +359,7 @@ final class BingoVertex(
       i += 1
     }
     require(math.abs(sum - decSum) < 1e-9, s"decSum drift: $sum vs $decSum")
-    // slotsByDst covers every slot exactly once
-    var covered = 0
-    slotsByDst.forEach { (dst, buf) =>
-      buf.foreach { s => require(dstArr(s) == dst, s"slotsByDst wrong: slot $s"); covered += 1 }
-    }
-    require(covered == d, s"slotsByDst covers $covered of $d slots")
+    validateSlots()
   }
 
   // =======================================================================
@@ -388,32 +368,20 @@ final class BingoVertex(
 
   private def touch(t: GroupType): Unit = if (conversions != null) conversions.recordTouch(t)
 
-  private def appendSlot(dst: Int, bias: Double): Int = {
+  private def appendNeighbor(dst: Int, bias: Double): Int = {
     val (ip, dec) = Radix.scaleFloat(bias, lambda)
     require(ip > 0 || dec > 0.0, s"λ-scaled bias vanished for $bias (λ=$lambda)")
-    ensureCapacity(d + 1)
-    val slot = d
-    dstArr(slot) = dst
+    val slot = appendSlot(dst)
     biasIntArr(slot) = ip
-    rawBiasArr(slot) = bias
     if (dec > 0.0) {
-      if (decArr == null) decArr = new Array[Double](dstArr.length)
+      if (decArr == null) decArr = new Array[Double](capacity)
       decArr(slot) = dec
     } else if (decArr != null) decArr(slot) = 0.0
-    var buf = slotsByDst.get(dst)
-    if (buf == null) { buf = new ArrayBuffer[Int](1); slotsByDst.put(dst, buf) }
-    buf += slot
-    d += 1
     slot
   }
 
-  private def ensureCapacity(need: Int): Unit = {
-    if (need <= dstArr.length) return
-    var cap = dstArr.length
-    while (cap < need) cap *= 2
-    dstArr = java.util.Arrays.copyOf(dstArr, cap)
+  protected def growColumns(cap: Int): Unit = {
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
-    rawBiasArr = java.util.Arrays.copyOf(rawBiasArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
     var k = 0
     while (k <= Radix.MaxBits) {
@@ -471,8 +439,10 @@ final class BingoVertex(
     if (g.count == 0) groups(k) = null
   }
 
-  /** Re-point references of a slot that moved oldSlot → newSlot. */
-  private def reindexSlot(oldSlot: Int, newSlot: Int): Unit = {
+  /** Re-point the group and decimal references of a slot that moved
+    * oldSlot → newSlot, then move its bias columns.
+    */
+  protected def moveSlot(oldSlot: Int, newSlot: Int): Unit = {
     var rest = biasIntArr(oldSlot)
     while (rest != 0) {
       val k = java.lang.Long.numberOfTrailingZeros(rest)
@@ -494,24 +464,8 @@ final class BingoVertex(
       decList(pos) = newSlot
       decInv.put(newSlot, pos)
     }
-    // dst index entry keeps its timestamp position, only the value changes
-    val buf = slotsByDst.get(dstArr(oldSlot))
-    val at = buf.indexOf(oldSlot)
-    buf(at) = newSlot
-  }
-
-  /** Swap the last slot into the freed slot and shrink (streaming path). */
-  private def compactSlot(slot: Int): Unit = {
-    val last = d - 1
-    if (slot != last) {
-      reindexSlot(last, slot)
-      dstArr(slot) = dstArr(last)
-      biasIntArr(slot) = biasIntArr(last)
-      rawBiasArr(slot) = rawBiasArr(last)
-      if (decArr != null) decArr(slot) = decArr(last)
-    }
-    if (decArr != null) decArr(last) = 0.0
-    d -= 1
+    biasIntArr(newSlot) = biasIntArr(oldSlot)
+    if (decArr != null) decArr(newSlot) = decArr(oldSlot)
   }
 
   /** Two-phase parallel delete-and-swap of `positions` inside a group's
@@ -545,32 +499,6 @@ final class BingoVertex(
     }
     g.listLen = tailStart
     g.count -= n
-  }
-
-  /** Two-phase compaction of the slot arrays themselves for a batch of
-    * deleted slots (same Fig. 10b scheme at the adjacency level).
-    */
-  private def twoPhaseSlotCompact(delSlots: java.util.HashSet[Integer]): Unit = {
-    val n = delSlots.size()
-    val tailStart = d - n
-    val survivors = new ArrayBuffer[Int](n)
-    var s = tailStart
-    while (s < d) { if (!delSlots.contains(s)) survivors += s; s += 1 }
-    var si = 0
-    val it = delSlots.iterator()
-    while (it.hasNext) {
-      val dead = it.next().intValue()
-      if (dead < tailStart) {
-        val moved = survivors(si); si += 1
-        reindexSlot(moved, dead)
-        dstArr(dead) = dstArr(moved)
-        biasIntArr(dead) = biasIntArr(moved)
-        rawBiasArr(dead) = rawBiasArr(moved)
-        if (decArr != null) decArr(dead) = decArr(moved)
-      }
-    }
-    if (decArr != null) java.util.Arrays.fill(decArr, tailStart, d, 0.0)
-    d = tailStart
   }
 
   /** Apply Eq. 9 to group `k`; on a type change rebuild its representation
@@ -651,7 +579,6 @@ final class BingoVertex(
     while (i < d) { if ((biasIntArr(i) & mask) != 0L) out += i; i += 1 }
     out
   }
-  private[core] def capacity: Int = dstArr.length
 }
 
 object BingoVertex {

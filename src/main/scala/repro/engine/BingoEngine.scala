@@ -6,43 +6,29 @@ import repro.graph.{Edge, Update}
 
 /** BINGO — the paper's system. One [[repro.core.BingoVertex]] radix-
   * factorized sampler per vertex; updates are incremental (O(K) per edge)
-  * and there is *no* per-round global rebuild: each touched vertex rebuilds
-  * only its ≤K-entry inter-group alias table, either per update (streaming
-  * mode, §4.2) or once per batch (batched mode, §5.2).
+  * and there is *no* per-round global rebuild: each touched vertex applies
+  * its updates as one batch (batched_insert/batched_delete, §5.2) and then
+  * rebuilds only its ≤K-entry inter-group alias table.
   *
-  * @param streaming  true = streaming_insert/streaming_delete kernels
-  *                   (one structural maintenance pass per update);
-  *                   false = batched_insert/batched_delete (+ one rebuild)
   * @param adaptive   adaptive group representation (§5.1) vs BaSeline
-  * @param lambda     float-bias amortisation factor (§4.3); 1.0 = integer
   */
 final class BingoEngine(
     val numVertices: Int,
-    val streaming: Boolean = false,
     val adaptive: Boolean = true,
-    val lambda: Double = 1.0,
     val conversions: ConversionStats = new ConversionStats,
 ) extends WalkEngine {
 
   val vertices: Array[BingoVertex] =
-    Array.fill(numVertices)(new BingoVertex(adaptive = adaptive, lambda = lambda, conversions = conversions))
+    Array.fill(numVertices)(new BingoVertex(adaptive = adaptive, conversions = conversions))
 
   def name: String = "Bingo"
   def outDegree(v: Int): Int = vertices(v).degree
   def hasEdge(u: Int, v: Int): Boolean = vertices(u).contains(v)
 
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = {
-    val v = vertices(src)
-    if (streaming) {
-      updates.foreach { u =>
-        if (u.insert) v.insert(u.dst, u.bias)
-        else v.delete(u.dst)
-      }
-    } else {
-      val ins = updates.collect { case u if u.insert => (u.dst, u.bias) }
-      val del = updates.collect { case u if !u.insert => u.dst }
-      v.applyBatch(ins, del)
-    }
+    val ins = updates.collect { case u if u.insert => (u.dst, u.bias) }
+    val del = updates.collect { case u if !u.insert => u.dst }
+    vertices(src).applyBatch(ins, del)
   }
 
   /** No global rebuild — Bingo's point. */
@@ -76,18 +62,18 @@ final class BingoEngine(
 }
 
 object BingoEngine {
-  def factory(
-      streaming: Boolean = false,
-      adaptive: Boolean = true,
-      lambda: Double = 1.0,
-  ): EngineFactory = new EngineFactory {
-    def name: String = "Bingo"
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
-      val e = new BingoEngine(numVertices, streaming, adaptive, lambda)
-      initial.groupBy(_.src).foreach { case (src, es) =>
-        e.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-      }
-      e
+  /** Build from a snapshot: one insert batch per source vertex. */
+  def build(numVertices: Int, initial: Seq[Edge], adaptive: Boolean = true): BingoEngine = {
+    val e = new BingoEngine(numVertices, adaptive)
+    initial.groupBy(_.src).foreach { case (src, es) =>
+      e.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
     }
+    e
+  }
+
+  def factory(adaptive: Boolean = true): EngineFactory = new EngineFactory {
+    def name: String = "Bingo"
+    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine =
+      BingoEngine.build(numVertices, initial, adaptive)
   }
 }

@@ -2,69 +2,40 @@ package repro.engine
 
 import java.util.SplittableRandom
 import repro.core.ReservoirSampler
-import repro.graph.{Edge, Update}
 
 /** FlowWalker-like baseline [39] as used in paper §6.2 and Fig. 16.
   *
   * FlowWalker keeps *no* auxiliary sampling structure: every step performs
   * weighted reservoir sampling over the current neighbor list, costing O(d)
   * per step. That makes updates cheap — the paper's methodology simply
-  * *reloads the new graph* after each round, which we model as a deep copy
-  * of the adjacency (the walk then samples from the reloaded copy) — but
-  * sampling collapses on high-degree graphs (the 25,000 s TW rows of
-  * Table 3 and the 218.7× sampling gap of Fig. 16b).
+  * *reloads the new graph* after each round ([[RebuildEngine]]), and the
+  * walk samples from the reloaded copy — but sampling collapses on
+  * high-degree graphs (the 25,000 s TW rows of Table 3 and the 218.7×
+  * sampling gap of Fig. 16b).
   */
-final class FlowWalkerEngine(val numVertices: Int) extends WalkEngine {
-  val adj = new Adjacency(numVertices)
-
-  /** The "reloaded" snapshot the walker actually samples from. */
-  private val loaded: Array[Adjacency#VertexAdj] = new Array(numVertices)
-
+final class FlowWalkerEngine(numVertices: Int) extends RebuildEngine(numVertices) {
   def name: String = "FlowWalker"
-  def outDegree(v: Int): Int = adj.outDegree(v)
-  def hasEdge(u: Int, v: Int): Boolean = adj.hasEdge(u, v)
 
-  def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit =
-    updates.foreach { u =>
-      if (u.insert) adj.insert(u.src, u.dst, u.bias)
-      else adj.delete(u.src, u.dst)
-    }
-
-  /** Graph reload: deep-copy the updated adjacency (O(E) per round). */
-  def postRoundSlice(slice: Int, stride: Int): Unit = {
-    var v = slice
-    while (v < numVertices) { loaded(v) = adj.vertices(v).deepCopy; v += stride }
-  }
+  protected def rebuild(v: Int, a: Adjacency): Unit = ()
 
   /** O(d) weighted reservoir pass over the neighbor list. */
-  def sampleNext(u: Int, rng: SplittableRandom): Int = {
+  protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
     val a = loaded(u)
-    if (a.len == 0) return -1
-    val i = ReservoirSampler.sample(a.bias, 0, a.len, rng)
-    if (i < 0) -1 else a.dst(i)
+    if (a.degree == 0) -1 else ReservoirSampler.sample(a.bias, 0, a.degree, rng)
   }
 
-  /** Engine-resident state only: the reloaded graph, with *no* auxiliary
-    * sampling structures — FlowWalker's defining property.
-    */
-  def memoryBytes: Long = {
-    var s = 0L
-    var v = 0
-    while (v < numVertices) { if (loaded(v) != null) s += loaded(v).memoryBytes; v += 1 }
-    s
+  /** The reloaded biases over their total. */
+  protected def slotProbabilities(u: Int): Array[Double] = {
+    val a = loaded(u)
+    val w = java.util.Arrays.copyOfRange(a.bias, 0, a.degree)
+    val tot = w.sum
+    w.map(_ / tot)
   }
 
-  def exactDistribution(u: Int): Map[Int, Double] = adj.distribution(u)
+  /** No auxiliary sampling structure — FlowWalker's defining property. */
+  protected def samplerBytes(v: Int): Long = 0L
 }
 
 object FlowWalkerEngine {
-  def factory: EngineFactory = new EngineFactory {
-    def name: String = "FlowWalker"
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
-      val e = new FlowWalkerEngine(numVertices)
-      initial.foreach(x => e.adj.insert(x.src, x.dst, x.bias))
-      e.postRoundSlice(0, 1)
-      e
-    }
-  }
+  def factory: EngineFactory = RebuildEngine.factory("FlowWalker", new FlowWalkerEngine(_))
 }

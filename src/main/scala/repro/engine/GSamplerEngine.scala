@@ -1,63 +1,38 @@
 package repro.engine
 
 import java.util.SplittableRandom
-import repro.graph.{Edge, Update}
 
 /** gSampler-like baseline [15] as used in paper §6.2.
   *
-  * gSampler is a GPU graph-sampling system with matrix-centric APIs; it
-  * supports only static graphs, so each update round reconstructs its
-  * sampling state from scratch (as the paper did for evaluation). We model
-  * its sampling state as per-vertex CDF (prefix-sum) arrays sampled by
-  * inverse transform (binary search, O(log d)) — the bulk "matrix" flavour
-  * of its per-step operators — and account for the matrix-API workspace the
-  * paper calls out as its dominant memory cost (it is consistently the most
-  * memory-hungry system in Table 3) as a workspace factor over the CDF size.
+  * gSampler is a GPU graph-sampling system with matrix-centric APIs; as a
+  * static-graph system it reconstructs its sampling state from scratch each
+  * round ([[RebuildEngine]]). We model that state as per-vertex CDF
+  * (prefix-sum) arrays sampled by inverse transform (binary search,
+  * O(log d)) — the bulk "matrix" flavour of its per-step operators — and
+  * account for the matrix-API workspace the paper calls out as its dominant
+  * memory cost (it is consistently the most memory-hungry system in
+  * Table 3) as a workspace factor over the CDF size.
   */
-final class GSamplerEngine(val numVertices: Int) extends WalkEngine {
-  /** Harness-side bookkeeping edge list (the "new graph" to reload from). */
-  val adj = new Adjacency(numVertices)
-
+final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) {
   private val cdfs = new Array[Array[Double]](numVertices)
-
-  /** The engine-resident graph, re-ingested (lists + lookup maps) each round. */
-  private val loaded = new Array[Adjacency#VertexAdj](numVertices)
 
   /** Matrix-API temporaries ≈ this factor × the CDF footprint (Table 3 note). */
   private val MatrixWorkspaceFactor = 2.0
 
   def name: String = "gSampler"
-  def outDegree(v: Int): Int = adj.outDegree(v)
-  def hasEdge(u: Int, v: Int): Boolean = adj.hasEdge(u, v)
 
-  def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit =
-    updates.foreach { u =>
-      if (u.insert) adj.insert(u.src, u.dst, u.bias)
-      else adj.delete(u.src, u.dst)
+  protected def rebuild(v: Int, a: Adjacency): Unit =
+    if (a.degree == 0) cdfs(v) = null
+    else {
+      val c = new Array[Double](a.degree)
+      var acc = 0.0
+      var i = 0
+      while (i < a.degree) { acc += a.bias(i); c(i) = acc; i += 1 }
+      cdfs(v) = c
     }
-
-  /** From-scratch reconstruction each round (O(E) total): re-ingest the
-    * graph as its "matrix" representation and rebuild the per-vertex CDFs.
-    */
-  def postRoundSlice(slice: Int, stride: Int): Unit = {
-    var v = slice
-    while (v < numVertices) {
-      val a = adj.vertices(v).deepCopy
-      loaded(v) = a
-      if (a.len == 0) cdfs(v) = null
-      else {
-        val c = new Array[Double](a.len)
-        var acc = 0.0
-        var i = 0
-        while (i < a.len) { acc += a.bias(i); c(i) = acc; i += 1 }
-        cdfs(v) = c
-      }
-      v += stride
-    }
-  }
 
   /** O(log d) inverse-transform draw on the per-vertex CDF. */
-  def sampleNext(u: Int, rng: SplittableRandom): Int = {
+  protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
     val c = cdfs(u)
     if (c == null) return -1
     val x = rng.nextDouble() * c(c.length - 1)
@@ -67,35 +42,23 @@ final class GSamplerEngine(val numVertices: Int) extends WalkEngine {
       val mid = (lo + hi) >>> 1
       if (c(mid) <= x) lo = mid + 1 else hi = mid
     }
-    loaded(u).dst(lo)
+    lo
   }
 
-  /** Engine-resident state only (reloaded graph + CDFs + matrix workspace);
-    * the harness-side `adj` edge list is bookkeeping and not charged.
-    */
-  def memoryBytes: Long = {
-    var cdfBytes = 0L
-    var csrBytes = 0L
-    var v = 0
-    while (v < numVertices) {
-      if (loaded(v) != null) csrBytes += loaded(v).memoryBytes
-      if (cdfs(v) != null) cdfBytes += cdfs(v).length.toLong * 8
-      v += 1
-    }
-    csrBytes + cdfBytes + (cdfBytes * MatrixWorkspaceFactor).toLong
+  /** CDF differences over the total mass. */
+  protected def slotProbabilities(u: Int): Array[Double] = {
+    val c = cdfs(u)
+    val tot = c(c.length - 1)
+    Array.tabulate(c.length)(i => (c(i) - (if (i == 0) 0.0 else c(i - 1))) / tot)
   }
 
-  def exactDistribution(u: Int): Map[Int, Double] = adj.distribution(u)
+  /** The CDF plus the matrix workspace. */
+  protected def samplerBytes(v: Int): Long = {
+    val c = cdfs(v)
+    if (c == null) 0L else { val b = c.length.toLong * 8; b + (b * MatrixWorkspaceFactor).toLong }
+  }
 }
 
 object GSamplerEngine {
-  def factory: EngineFactory = new EngineFactory {
-    def name: String = "gSampler"
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
-      val e = new GSamplerEngine(numVertices)
-      initial.foreach(x => e.adj.insert(x.src, x.dst, x.bias))
-      e.postRoundSlice(0, 1)
-      e
-    }
-  }
+  def factory: EngineFactory = RebuildEngine.factory("gSampler", new GSamplerEngine(_))
 }

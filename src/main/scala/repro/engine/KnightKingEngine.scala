@@ -2,96 +2,33 @@ package repro.engine
 
 import java.util.SplittableRandom
 import repro.core.AliasTable
-import repro.graph.{Edge, Update}
 
 /** KnightKing-like baseline [73] as used in paper §6.2.
   *
   * KnightKing samples static biases with per-vertex alias tables (O(1)
-  * sampling, O(d) construction). It supports only static graphs, so — as
-  * the paper did for its evaluation ("we reload or reconstruct the
-  * corresponding structure after each round of updates") — every round ends
-  * by *reloading the graph into the engine and rebuilding the sampling
-  * space from scratch*: the neighbor lists are re-ingested and all
-  * per-vertex alias tables rebuilt, costing O(E) per round regardless of
-  * batch size. Second-order applications (node2vec) use KnightKing's
-  * static-sample + rejection scheme, implemented app-side in
-  * [[repro.walk.Walks]].
+  * sampling, O(d) construction); as a static-graph system it reloads the
+  * graph and rebuilds every alias table each round ([[RebuildEngine]]).
+  * Second-order applications (node2vec) use KnightKing's static-sample +
+  * rejection scheme, implemented app-side in [[repro.walk.Walks]].
   */
-final class KnightKingEngine(val numVertices: Int) extends WalkEngine {
-  /** Harness-side bookkeeping edge list (the "new graph" to reload from). */
-  val adj = new Adjacency(numVertices)
-
+final class KnightKingEngine(numVertices: Int) extends RebuildEngine(numVertices) {
   private val tables = new Array[AliasTable](numVertices)
 
-  /** The engine-resident graph, re-ingested (lists + lookup maps) each round. */
-  private val loaded = new Array[Adjacency#VertexAdj](numVertices)
-
   def name: String = "KnightKing"
-  def outDegree(v: Int): Int = adj.outDegree(v)
-  def hasEdge(u: Int, v: Int): Boolean = adj.hasEdge(u, v)
 
-  def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit =
-    updates.foreach { u =>
-      if (u.insert) adj.insert(u.src, u.dst, u.bias)
-      else adj.delete(u.src, u.dst)
-    }
+  protected def rebuild(v: Int, a: Adjacency): Unit =
+    tables(v) = if (a.degree == 0) null else AliasTable(java.util.Arrays.copyOfRange(a.bias, 0, a.degree))
 
-  /** The from-scratch per-round reconstruction (O(E) total): re-ingest the
-    * graph (neighbor lists plus the dst-lookup maps the engine needs for
-    * second-order rejection), then rebuild every alias table.
-    */
-  def postRoundSlice(slice: Int, stride: Int): Unit = {
-    var v = slice
-    while (v < numVertices) {
-      val c = adj.vertices(v).deepCopy
-      loaded(v) = c
-      tables(v) = if (c.len == 0) null else AliasTable(java.util.Arrays.copyOfRange(c.bias, 0, c.len))
-      v += stride
-    }
-  }
-
-  def sampleNext(u: Int, rng: SplittableRandom): Int = {
+  protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
     val t = tables(u)
-    if (t == null) -1 else loaded(u).dst(t.sample(rng))
+    if (t == null) -1 else t.sample(rng)
   }
 
-  /** Engine-resident state only (reloaded graph + alias tables); the
-    * harness-side `adj` edge list is bookkeeping, like the paper's
-    * host-side update stream, and is not charged to any system.
-    */
-  def memoryBytes: Long = {
-    var s = 0L
-    var v = 0
-    while (v < numVertices) {
-      if (loaded(v) != null) s += loaded(v).memoryBytes
-      if (tables(v) != null) s += tables(v).memoryBytes
-      v += 1
-    }
-    s
-  }
+  protected def slotProbabilities(u: Int): Array[Double] = tables(u).probabilities
 
-  def exactDistribution(u: Int): Map[Int, Double] = {
-    val t = tables(u)
-    if (t == null) Map.empty
-    else {
-      val probs = t.probabilities
-      val a = adj.vertices(u)
-      val m = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
-      var i = 0
-      while (i < a.len) { m(a.dst(i)) += probs(i); i += 1 }
-      m.toMap
-    }
-  }
+  protected def samplerBytes(v: Int): Long = if (tables(v) == null) 0L else tables(v).memoryBytes
 }
 
 object KnightKingEngine {
-  def factory: EngineFactory = new EngineFactory {
-    def name: String = "KnightKing"
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
-      val e = new KnightKingEngine(numVertices)
-      initial.foreach(x => e.adj.insert(x.src, x.dst, x.bias))
-      e.postRoundSlice(0, 1)
-      e
-    }
-  }
+  def factory: EngineFactory = RebuildEngine.factory("KnightKing", new KnightKingEngine(_))
 }

@@ -304,10 +304,7 @@ object Tables {
   def table4(spark: SparkSession, params: Bench.Params = Bench.Params()): String = {
     val g = GraphGen.generate(GraphGen.LJ)
     val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, params.batchSize, params.rounds, params.seed)
-    val engine = new BingoEngine(g.numVertices)
-    plan.initialEdges.groupBy(_.src).foreach { case (src, es) =>
-      engine.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
+    val engine = BingoEngine.build(g.numVertices, plan.initialEdges)
     engine.conversions.reset() // count conversions caused by updates only
     val handle = "table4-lj"
     GraphStore.register(handle, engine)

@@ -15,7 +15,6 @@ class EngineSpec extends AnyFunSuite with Tolerance {
 
   private val factories: Seq[(EngineFactory, String)] = Seq(
     BingoEngine.factory() -> "Bingo-batched",
-    BingoEngine.factory(streaming = true) -> "Bingo-streaming",
     BingoEngine.factory(adaptive = false) -> "Bingo-baseline",
     KnightKingEngine.factory -> "KnightKing",
     GSamplerEngine.factory -> "gSampler",
@@ -39,13 +38,16 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       s -> es.groupBy(_.dst).map { case (d, dd) => d -> dd.map(_.bias).sum / tot }
     }
 
-  private def checkEngine(eng: WalkEngine, truth: Map[Int, Map[Int, Double]], v: Int): Unit = {
+  /** Exact distributions and out-degrees (duplicates counted) against the live edges. */
+  private def checkEngine(eng: WalkEngine, live: Iterable[Edge], v: Int): Unit = {
+    val truth = groundTruth(live)
+    val degree = live.groupBy(_.src).map { case (s, es) => s -> es.size }
     (0 until v).foreach { u =>
       val exp = truth.getOrElse(u, Map.empty)
       val got = eng.exactDistribution(u)
       assert(got.keySet == exp.keySet, s"${eng.name} vertex $u: ${got.keySet} vs ${exp.keySet}")
       exp.foreach { case (d, p) => StatCheck.assertProbEqual(got(d), p, 1e-9) }
-      assert(eng.outDegree(u) == (if (exp.isEmpty) 0 else eng.outDegree(u)))
+      assert(eng.outDegree(u) == degree.getOrElse(u, 0), s"${eng.name} vertex $u out-degree")
     }
   }
 
@@ -53,7 +55,7 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     test(s"$tag: initial build matches ground truth") {
       val (v, edges) = smallWorld(1)
       val eng = f.build(v, edges)
-      checkEngine(eng, groundTruth(edges), v)
+      checkEngine(eng, edges, v)
     }
   }
 
@@ -62,13 +64,13 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       val (v, edges) = smallWorld(2)
       val plan = UpdateGen.plan(edges, mode, batchSize = 15, rounds = 4, seed = 5L)
       val eng = f.build(v, plan.initialEdges)
-      checkEngine(eng, groundTruth(plan.initialEdges), v)
+      checkEngine(eng, plan.initialEdges, v)
       plan.rounds.zipWithIndex.foreach { case (round, k) =>
         eng.applyRoundLocal(round)
         val liveEdges = plan
           .edgeMultisetAfter(k + 1)
           .flatMap { case ((s, d, b), c) => Seq.fill(c)(Edge(s, d, b)) }
-        checkEngine(eng, groundTruth(liveEdges), v)
+        checkEngine(eng, liveEdges, v)
       }
     }
   }
@@ -112,6 +114,19 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("exactDistribution describes what sampleNext draws between updates and the rebuild") {
+    val (v, edges) = smallWorld(8)
+    factories.map(_._1).foreach { f =>
+      val eng = f.build(v, edges)
+      val u = (0 until v).maxBy(eng.outDegree)
+      val heaviest = edges.filter(_.src == u).maxBy(_.bias).dst
+      val fresh = (0 until v).find(d => d != u && !eng.hasEdge(u, d)).get
+      // a heavy insert and a delete, with no postRoundSlice after them
+      eng.applyVertexUpdates(u, Seq(Update(1L, true, u, fresh, 1000.0), Update(2L, false, u, heaviest, 0.0)))
+      StatCheck.assertMatches(eng.exactDistribution(u), 60000, seed = 78, tol = 0.02)(r => eng.sampleNext(u, r))
+    }
+  }
+
   test("dead-end vertices sample -1 in all engines") {
     val edges = Vector(Edge(0, 1, 5.0)) // vertex 1 has no out-edges
     factories.map(_._1).foreach { f =>
@@ -133,24 +148,24 @@ class EngineSpec extends AnyFunSuite with Tolerance {
   }
 
   test("Adjacency: duplicate-edge delete removes earliest instance") {
-    val a = new Adjacency(3)
-    a.insert(0, 1, 2.0)
-    a.insert(0, 1, 5.0)
-    assert(a.outDegree(0) == 2)
-    assert(a.delete(0, 1))
-    assert(a.outDegree(0) == 1)
-    assert(a.vertices(0).bias(0) === 5.0 +- 1e-12)
-    assert(a.delete(0, 1))
-    assert(!a.delete(0, 1))
+    val a = new Adjacency
+    a.insert(1, 2.0)
+    a.insert(1, 5.0)
+    assert(a.degree == 2)
+    assert(a.delete(1))
+    assert(a.degree == 1)
+    assert(a.bias(0) === 5.0 +- 1e-12)
+    assert(a.delete(1))
+    assert(!a.delete(1))
   }
 
   test("Adjacency: deepCopy is independent") {
-    val a = new Adjacency(2)
-    a.insert(0, 1, 2.0)
-    val c = a.vertices(0).deepCopy
-    a.insert(0, 1, 3.0)
-    assert(c.len == 1)
-    assert(a.vertices(0).len == 2)
+    val a = new Adjacency
+    a.insert(1, 2.0)
+    val c = a.deepCopy
+    a.insert(1, 3.0)
+    assert(c.degree == 1)
+    assert(a.degree == 2)
   }
 
   test("GraphStore register/get/remove") {
@@ -159,19 +174,5 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     assert(GraphStore.get("t") eq eng)
     GraphStore.remove("t")
     intercept[IllegalArgumentException](GraphStore.get("t"))
-  }
-
-  test("streaming vs batched Bingo engine: identical distributions") {
-    val (v, edges) = smallWorld(7)
-    val plan = UpdateGen.plan(edges, UpdateMode.Mixed, 25, 3, 12L)
-    val s = BingoEngine.factory(streaming = true).build(v, plan.initialEdges)
-    val b = BingoEngine.factory(streaming = false).build(v, plan.initialEdges)
-    plan.rounds.foreach { r => s.applyRoundLocal(r); b.applyRoundLocal(r) }
-    (0 until v).foreach { u =>
-      val ds = s.exactDistribution(u)
-      val db = b.exactDistribution(u)
-      assert(ds.keySet == db.keySet)
-      ds.foreach { case (d, p) => StatCheck.assertProbEqual(db(d), p, 1e-9) }
-    }
   }
 }

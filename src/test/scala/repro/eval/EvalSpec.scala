@@ -145,10 +145,7 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
   test("conversion stats on a real workload stay rare (Table 4 shape)") {
     val g = GraphGen.generate(GraphGen.AM)
     val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, 500, 4, 19L)
-    val engine = new BingoEngine(g.numVertices)
-    plan.initialEdges.groupBy(_.src).foreach { case (src, es) =>
-      engine.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
+    val engine = BingoEngine.build(g.numVertices, plan.initialEdges)
     engine.conversions.reset()
     plan.rounds.foreach(engine.applyRoundLocal)
     val cs = engine.conversions
