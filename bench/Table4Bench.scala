@@ -13,26 +13,18 @@ import repro.eval.{Bench, Tables}
 class Table4Bench extends AnyFunSuite with SparkSpec {
 
   test("Table 4: group conversion ratios on LJ (mixed updates)") {
-    val out = Tables.table4(spark, Bench.Params())
+    val run = Tables.table4Run(spark, Bench.Params())
+    val out = Tables.table4Format(run)
     println(out)
     BenchOutput.write("table4.txt", out)
 
-    // re-derive the stats for assertions
-    val g = repro.graph.GraphGen.generate(repro.graph.GraphGen.LJ)
-    val plan = repro.graph.UpdateGen.plan(
-      g.edges, repro.graph.UpdateMode.Mixed, Bench.Params().batchSize, Bench.Params().rounds, Bench.Params().seed)
-    val engine = repro.engine.BingoEngine.build(g.numVertices, plan.initialEdges)
-    engine.conversions.reset()
-    plan.rounds.foreach(engine.applyRoundLocal)
-    val cs = engine.conversions
-
+    val cs = run.conversions
     assert(cs.totalTouches > 0L)
     // paper shape: per round, only a tiny fraction of each group population
     // converts (paper max entry 0.47%; we allow slack — our degrees are ~8x
     // smaller, so a single update moves |G|/d ratios further)
-    val census = engine.groupTypeCensus
     GroupType.All.foreach { from =>
-      val pop = math.max(1L, census.getOrElse(from, 0L)) * Bench.Params().rounds
+      val pop = math.max(1L, run.census.getOrElse(from, 0L)) * run.rounds
       GroupType.All.foreach { to =>
         if (from != to) {
           val r = cs.conversions(from, to) * 100.0 / pop

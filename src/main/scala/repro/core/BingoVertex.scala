@@ -11,11 +11,11 @@ import scala.collection.mutable.ArrayBuffer
   * sharing bit `k` form radix group `p_k` with weight `|G_k|·2^k` (Eq. 4).
   * Sampling is hierarchical (§4.1): an inter-group alias table picks a group
   * in O(1), then uniform intra-group sampling picks a slot in O(1).
-  * Streaming insert/delete cost O(K) (§4.2); batched updates follow the
-  * paper's per-vertex insert → delete → rebuild workflow with the two-phase
-  * parallel delete-and-swap (§5.2, Fig. 10b). Groups adapt their
-  * representation (dense / one-element / sparse / regular, §5.1) to cut
-  * memory.
+  * Every update goes through the paper's per-vertex insert → delete →
+  * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
+  * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs
+  * O(K). Groups adapt their representation (dense / one-element / sparse /
+  * regular, §5.1) to cut memory.
   *
   * Duplicate edges are allowed; a deletion removes the *earliest* surviving
   * instance of (vertex, dst), per the paper's timestamped-duplicate rule.
@@ -23,15 +23,11 @@ import scala.collection.mutable.ArrayBuffer
   * @param adaptive    false reproduces the BaSeline (BS) all-regular design
   * @param lambda      amortisation factor for floating-point biases (§4.3);
   *                    1.0 with integer biases means a pure integer radix space
-  * @param alpha       dense threshold percentage (paper default 40)
-  * @param beta        sparse threshold percentage (paper default 10)
   * @param conversions optional shared collector for Table 4 statistics
   */
 final class BingoVertex(
     val adaptive: Boolean = true,
     val lambda: Double = 1.0,
-    val alpha: Double = 40.0,
-    val beta: Double = 10.0,
     val conversions: ConversionStats = null,
 ) extends SlotStore(BingoVertex.InitialCap) {
 
@@ -74,56 +70,20 @@ final class BingoVertex(
     m
   }
 
-  /** Streaming insertion (§4.2, Fig. 5): append slot, update each radix
-    * group the bias contributes to, rebuild the inter-group alias table.
-    * O(K) total.
-    */
-  def insert(dst: Int, bias: Double): Unit = {
-    val slot = appendNeighbor(dst, bias)
-    var rest = biasIntArr(slot)
-    while (rest != 0) {
-      val k = java.lang.Long.numberOfTrailingZeros(rest)
-      groupInsert(k, slot, reclassifyNow = true)
-      rest &= rest - 1
-    }
-    if (decimalAt(slot) > 0.0) decInsert(slot)
-    rebuildInterAlias()
-  }
+  /** Streaming insertion (§4.2, Fig. 5): a batch of one. O(K). */
+  def insert(dst: Int, bias: Double): Unit = applyBatch((dst, bias) :: Nil, Nil)
 
-  /** Streaming deletion (§4.2, Fig. 6): locate the earliest instance via the
-    * inverted indexes, delete-and-swap inside each group, compact the slot
-    * arrays by swapping in the last slot, reclassify the touched groups, and
-    * rebuild the inter-group alias table. O(K) total.
+  /** Streaming deletion (§4.2, Fig. 6) of the earliest instance of (v, dst):
+    * a batch of one. O(K).
     *
     * @return false if no instance of (v, dst) exists
     */
-  def delete(dst: Int): Boolean = {
-    val slot = takeEarliest(dst)
-    if (slot < 0) return false
-
-    val bits = biasIntArr(slot)
-    var rest = bits
-    while (rest != 0) {
-      val k = java.lang.Long.numberOfTrailingZeros(rest)
-      reprDelete(k, slot)
-      rest &= rest - 1
-    }
-    if (decimalAt(slot) > 0.0) decDelete(slot)
-    compactSlot(slot)
-    rest = bits
-    while (rest != 0) {
-      val k = java.lang.Long.numberOfTrailingZeros(rest)
-      reclassify(k)
-      rest &= rest - 1
-    }
-    rebuildInterAlias()
-    true
-  }
+  def delete(dst: Int): Boolean = applyBatch(Nil, dst :: Nil) == 1
 
   /** Batched updates for this vertex (§5.2, Fig. 10a): insert all, delete
     * all (two-phase parallel delete-and-swap per group, Fig. 10b), then one
-    * rebuild pass that handles group-type conversions, the decimal group
-    * statistics, and the inter-group alias table.
+    * rebuild pass that handles the touched groups' type conversions and the
+    * inter-group alias table. The only code that changes a vertex.
     *
     * @return number of deletions actually applied
     */
@@ -134,71 +94,38 @@ final class BingoVertex(
     var touchedBits = 0L
 
     // -- insert phase: append slots; groups absorb without reclassification
-    inserts.foreach { case (dst, bias) =>
+    val ins = inserts.iterator
+    while (ins.hasNext) {
+      val (dst, bias) = ins.next()
       val slot = appendNeighbor(dst, bias)
-      touchedBits |= biasIntArr(slot)
       var rest = biasIntArr(slot)
+      touchedBits |= rest
       while (rest != 0) {
-        val k = java.lang.Long.numberOfTrailingZeros(rest)
-        groupInsert(k, slot, reclassifyNow = false)
+        groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot)
         rest &= rest - 1
       }
       if (decimalAt(slot) > 0.0) decInsert(slot)
     }
 
-    // -- delete phase: resolve earliest instances, two-phase per group
-    val delSlots = new java.util.HashSet[Integer]()
+    // -- delete phase: resolve earliest instances, then compact
     var applied = 0
-    deletes.foreach { dst =>
-      val slot = takeEarliest(dst)
-      if (slot >= 0) {
-        delSlots.add(slot)
-        applied += 1
+    if (deletes.nonEmpty) {
+      val freed = new Array[Int](deletes.size) // distinct: takeEarliest unindexes
+      val dels = deletes.iterator
+      while (dels.hasNext) {
+        val slot = takeEarliest(dels.next())
+        if (slot >= 0) { freed(applied) = slot; applied += 1 }
       }
-    }
-    if (!delSlots.isEmpty) {
-      // group-level two-phase compaction
-      val perGroup = new java.util.HashMap[Int, ArrayBuffer[Int]]() // k -> positions
-      val it = delSlots.iterator()
-      while (it.hasNext) {
-        val slot = it.next().intValue()
-        touchedBits |= biasIntArr(slot)
-        var rest = biasIntArr(slot)
-        while (rest != 0) {
-          val k = java.lang.Long.numberOfTrailingZeros(rest)
-          val g = groups(k)
-          touch(g.tpe)
-          g.tpe match {
-            case GroupType.Dense =>
-              g.count -= 1
-              if (g.count == 0) groups(k) = null
-            case GroupType.OneElement =>
-              g.count -= 1
-              if (g.count == 0) groups(k) = null else g.dirty = true
-            case GroupType.Regular | GroupType.Sparse =>
-              var ps = perGroup.get(k)
-              if (ps == null) { ps = new ArrayBuffer[Int](); perGroup.put(k, ps) }
-              ps += g.posOf(slot)
-            case _ =>
-          }
-          rest &= rest - 1
-        }
-        if (decimalAt(slot) > 0.0) decDelete(slot)
-      }
-      perGroup.forEach { (k, positions) => twoPhaseGroupCompact(groups(k), positions) }
-      perGroup.forEach { (k, _) => if (groups(k) != null && groups(k).count == 0) groups(k) = null }
-      // slot-array two-phase compaction
-      compactSlots(delSlots)
+      if (applied > 0) touchedBits |= deleteSlots(freed, applied)
     }
 
-    // -- rebuild phase: conversions + decimal stats + inter-group alias
-    var k = 0
-    while (k <= Radix.MaxBits) {
-      val g = groups(k)
-      if (g != null && (((touchedBits >>> k) & 1L) == 1L || g.dirty)) reclassify(k)
-      k += 1
+    // -- rebuild phase: conversions of the touched groups (every dirty group
+    // was touched in this batch) + inter-group alias
+    var rest = touchedBits
+    while (rest != 0) {
+      reclassify(java.lang.Long.numberOfTrailingZeros(rest))
+      rest &= rest - 1
     }
-    recomputeDecMax()
     rebuildInterAlias()
     applied
   }
@@ -213,8 +140,7 @@ final class BingoVertex(
     if (slot < 0) -1 else dstArr(slot)
   }
 
-  /** Like [[sample]] but returns the internal slot (test introspection). */
-  def sampleSlot(rng: SplittableRandom): Int = {
+  private def sampleSlot(rng: SplittableRandom): Int = {
     if (interAlias == null) return -1
     val gid = aliasGroupIds(interAlias.sample(rng))
     if (gid == DecimalGroupId) {
@@ -395,16 +321,14 @@ final class BingoVertex(
     }
   }
 
-  /** Insert `slot` into group `k`; in streaming mode reclassify immediately,
-    * in batch mode leave conversions to the rebuild phase.
-    */
-  private def groupInsert(k: Int, slot: Int, reclassifyNow: Boolean): Unit = {
+  /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
+  private def groupInsert(k: Int, slot: Int): Unit = {
     var g = groups(k)
     if (g == null) {
       g = new Group(k)
       groups(k) = g
       g.count = 1
-      g.tpe = GroupType.classify(1, d, alpha, beta, adaptive)
+      g.tpe = GroupType.classify(1, d, adaptive)
       g.initRepr(this)
       g.reprAdd(this, slot)
       return
@@ -417,26 +341,6 @@ final class BingoVertex(
       case GroupType.Regular | GroupType.Sparse => g.reprAdd(this, slot)
       case _ =>
     }
-    if (reclassifyNow) reclassify(k)
-  }
-
-  /** Streaming delete-and-swap of `slot` from group `k` (paper Fig. 6). */
-  private def reprDelete(k: Int, slot: Int): Unit = {
-    val g = groups(k)
-    touch(g.tpe)
-    g.count -= 1
-    g.tpe match {
-      case GroupType.Dense | GroupType.OneElement => // nothing / single slot
-      case GroupType.Regular | GroupType.Sparse =>
-        val pos = g.posOf(slot)
-        val lastPos = g.listLen - 1
-        val moved = g.list(lastPos)
-        if (pos != lastPos) { g.list(pos) = moved; g.setPos(moved, pos) }
-        g.listLen -= 1
-        g.clearPos(slot)
-      case _ =>
-    }
-    if (g.count == 0) groups(k) = null
   }
 
   /** Re-point the group and decimal references of a slot that moved
@@ -468,37 +372,63 @@ final class BingoVertex(
     if (decArr != null) decArr(newSlot) = decArr(oldSlot)
   }
 
-  /** Two-phase parallel delete-and-swap of `positions` inside a group's
-    * member list (paper Fig. 10b): phase (i) drops the doomed entries that
-    * already live in the tail window; phase (ii) fills the remaining doomed
-    * front entries with the tail's guaranteed survivors.
+  /** Delete phase of a batch (§5.2, Fig. 10b): take the `n` freed slots
+    * out of their radix groups and the decimal group, compact each list
+    * group's member list and then the slot arrays with
+    * [[SlotStore.twoPhaseCompact]].
+    *
+    * @return the bias bits of the freed slots, i.e. the groups touched
     */
-  private def twoPhaseGroupCompact(g: Group, positions: ArrayBuffer[Int]): Unit = {
-    val n = positions.length
-    val l = g.listLen
-    val tailStart = l - n
-    val doomed = new java.util.HashSet[Integer]()
-    positions.foreach(p => doomed.add(p))
-    // phase (i): tail window survivors; doomed tail entries die by truncation
-    val survivors = new ArrayBuffer[Int](n)
-    var p = tailStart
-    while (p < l) { if (!doomed.contains(p)) survivors += p; p += 1 }
-    // phase (ii): fill doomed front entries with survivors
-    var si = 0
-    positions.foreach { fp =>
-      if (fp < tailStart) {
-        val sp = survivors(si); si += 1
-        val movedSlot = g.list(sp)
-        val deadSlot = g.list(fp)
-        g.list(fp) = movedSlot
-        g.setPos(movedSlot, fp)
-        g.clearPos(deadSlot)
-      } else {
-        g.clearPos(g.list(fp))
+  private def deleteSlots(freed: Array[Int], n: Int): Long = {
+    var touched = 0L
+    var listBits = 0L // Regular / Sparse groups that lose members
+    var i = 0
+    while (i < n) {
+      val slot = freed(i)
+      var rest = biasIntArr(slot)
+      touched |= rest
+      while (rest != 0) {
+        val k = java.lang.Long.numberOfTrailingZeros(rest)
+        val g = groups(k)
+        touch(g.tpe)
+        g.tpe match {
+          case GroupType.Dense =>
+            g.count -= 1
+            if (g.count == 0) groups(k) = null
+          case GroupType.OneElement =>
+            g.count -= 1
+            if (g.count == 0) groups(k) = null else g.dirty = true
+          case _ => listBits |= 1L << k
+        }
+        rest &= rest - 1
       }
+      if (decimalAt(slot) > 0.0) decDelete(slot)
+      i += 1
     }
-    g.listLen = tailStart
-    g.count -= n
+    val doomed = new Array[Int](n)
+    var rest = listBits
+    while (rest != 0) {
+      val k = java.lang.Long.numberOfTrailingZeros(rest)
+      val g = groups(k)
+      val mask = 1L << k
+      var m = 0
+      i = 0
+      while (i < n) {
+        val slot = freed(i)
+        if ((biasIntArr(slot) & mask) != 0L) { doomed(m) = g.posOf(slot); g.clearPos(slot); m += 1 }
+        i += 1
+      }
+      val list = g.list
+      g.listLen = SlotStore.twoPhaseCompact(doomed, m, g.listLen) { (from, to) =>
+        list(to) = list(from)
+        g.setPos(list(to), to)
+      }
+      g.count -= m
+      if (g.count == 0) groups(k) = null
+      rest &= rest - 1
+    }
+    compactSlots(freed, n)
+    touched
   }
 
   /** Apply Eq. 9 to group `k`; on a type change rebuild its representation
@@ -507,7 +437,7 @@ final class BingoVertex(
   private def reclassify(k: Int): Unit = {
     val g = groups(k)
     if (g == null) return
-    val target = GroupType.classify(g.count, d, alpha, beta, adaptive)
+    val target = GroupType.classify(g.count, d, adaptive)
     if (target != g.tpe) {
       if (conversions != null) conversions.recordConversion(g.tpe, target)
       g.tpe = target

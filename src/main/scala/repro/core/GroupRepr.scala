@@ -27,15 +27,21 @@ object GroupType {
 
   val All: Seq[GroupType] = Seq(Dense, Regular, Sparse, OneElement)
 
-  /** Eq. 9 with the paper's defaults α=40, β=10; `adaptive = false`
+  /** Dense threshold α, percent of the degree (paper value). */
+  val Alpha: Double = 40.0
+
+  /** Sparse threshold β, percent of the degree (paper value). */
+  val Beta: Double = 10.0
+
+  /** Eq. 9 with thresholds [[Alpha]] and [[Beta]]; `adaptive = false`
     * reproduces the BaSeline (BS) design that keeps every group Regular.
     */
-  def classify(count: Int, d: Int, alpha: Double, beta: Double, adaptive: Boolean): GroupType = {
+  def classify(count: Int, d: Int, adaptive: Boolean): GroupType = {
     require(count > 0 && d > 0, s"classify needs count>0, d>0 (got $count, $d)")
     if (!adaptive) Regular
     else if (count == 1) OneElement
-    else if (count * 100.0 / d > alpha) Dense
-    else if (count * 100.0 / d < beta) Sparse
+    else if (count * 100.0 / d > Alpha) Dense
+    else if (count * 100.0 / d < Beta) Sparse
     else Regular
   }
 }

@@ -16,6 +16,8 @@ object Radix {
   /** Highest usable bit for a positive Long bias. */
   val MaxBits: Int = 63
 
+  private val TwoPow63: Double = math.pow(2, 63)
+
   /** Bit positions set in `w` — the exponents of D(w) (Eq. 3). */
   def decompose(w: Long): Array[Int] = {
     require(w > 0, s"bias must be positive: $w")
@@ -55,9 +57,11 @@ object Radix {
     * @return (integer part of λ·w, decimal remainder of λ·w ∈ [0,1))
     */
   def scaleFloat(w: Double, lambda: Double): (Long, Double) = {
-    require(w > 0.0, s"bias must be positive: $w")
+    require(w > 0.0 && !w.isInfinite, s"bias must be positive and finite: $w")
     require(lambda > 0.0, s"lambda must be positive: $lambda")
     val scaled = w * lambda
+    // a larger integer part would saturate the Long cast below
+    require(scaled < TwoPow63, s"λ-scaled bias $scaled (w=$w, λ=$lambda) must be below 2^63")
     val intPart = math.floor(scaled).toLong
     val dec = scaled - intPart
     (intPart, dec)

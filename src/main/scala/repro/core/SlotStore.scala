@@ -4,9 +4,9 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Hornet-style slot array of one vertex's neighbors (paper §4.2,
   * supplement §9.1): a growable primitive `dst` column with O(1) amortised
-  * append and O(1) delete-and-swap, plus a dst → slots index in insertion
-  * (timestamp) order, so deleting a duplicated edge removes its earliest
-  * surviving instance (§5.2).
+  * append and delete-and-swap compaction, plus a dst → slots index in
+  * insertion (timestamp) order, so deleting a duplicated edge removes its
+  * earliest surviving instance (§5.2).
   *
   * Subclasses add their own per-slot bias columns. The store calls
   * [[growColumns]] whenever the slot arrays grow and [[moveSlot]] whenever a
@@ -65,30 +65,11 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     slot
   }
 
-  /** Swap the last slot into the freed `slot` and shrink (streaming path). */
-  protected final def compactSlot(slot: Int): Unit = {
-    val last = d - 1
-    if (slot != last) move(last, slot)
-    d -= 1
-  }
-
-  /** Two-phase compaction of a batch of freed slots (paper Fig. 10b at the
-    * adjacency level): freed slots in the tail window die by truncation,
-    * the others are filled with the tail's guaranteed survivors.
+  /** Compact away the `n` distinct freed slots in `freed` (sorted in place)
+    * with [[SlotStore.twoPhaseCompact]].
     */
-  protected final def compactSlots(freed: java.util.HashSet[Integer]): Unit = {
-    val tailStart = d - freed.size()
-    val survivors = new ArrayBuffer[Int](freed.size())
-    var s = tailStart
-    while (s < d) { if (!freed.contains(s)) survivors += s; s += 1 }
-    var si = 0
-    val it = freed.iterator()
-    while (it.hasNext) {
-      val dead = it.next().intValue()
-      if (dead < tailStart) { move(survivors(si), dead); si += 1 }
-    }
-    d = tailStart
-  }
+  protected final def compactSlots(freed: Array[Int], n: Int): Unit =
+    d = SlotStore.twoPhaseCompact(freed, n, d)(move)
 
   private def move(from: Int, to: Int): Unit = {
     moveSlot(from, to)
@@ -116,5 +97,35 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
       buf.foreach { s => require(dstArr(s) == dst, s"slotsByDst wrong: slot $s"); covered += 1 }
     }
     require(covered == d, s"slotsByDst covers $covered of $d slots")
+  }
+}
+
+object SlotStore {
+
+  /** Two-phase parallel delete-and-swap (paper Fig. 10b) over positions
+    * `[0, len)` of some array: removes the `n` distinct positions
+    * `doomed(0 until n)` and returns the new length `len - n`.
+    *
+    * Phase (i): doomed entries inside the tail window `[len - n, len)` die
+    * by truncation, and the window's other entries are the guaranteed
+    * survivors. Phase (ii): each doomed position in front of the window is
+    * filled by one survivor through `move(from, to)`; no move reads a doomed
+    * entry (the hazard Fig. 10b avoids). With `n = 1` this is the streaming
+    * delete-and-swap of Fig. 6. Sorts `doomed(0 until n)` in place.
+    */
+  def twoPhaseCompact(doomed: Array[Int], n: Int, len: Int)(move: (Int, Int) => Unit): Int = {
+    val tailStart = len - n
+    if (n > 1) java.util.Arrays.sort(doomed, 0, n)
+    var front = 0 // doomed positions in front of the window
+    while (front < n && doomed(front) < tailStart) front += 1
+    var t = front // next doomed position inside the window
+    var f = 0 // next doomed front position to fill
+    var p = tailStart
+    while (f < front) {
+      if (t < n && doomed(t) == p) t += 1
+      else { move(p, doomed(f)); f += 1 }
+      p += 1
+    }
+    tailStart
   }
 }

@@ -19,7 +19,7 @@ final class Adjacency extends SlotStore(2) {
   /** Delete the earliest surviving instance of (v → dst); false if absent. */
   def delete(dst: Int): Boolean = {
     val slot = takeEarliest(dst)
-    if (slot >= 0) compactSlot(slot)
+    if (slot >= 0) compactSlots(Array(slot), 1)
     slot >= 0
   }
 

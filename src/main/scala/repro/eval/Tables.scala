@@ -301,7 +301,11 @@ object Tables {
   // Table 4 — group-type conversion ratios on LJ during mixed updates
   // =========================================================================
 
-  def table4(spark: SparkSession, params: Bench.Params = Bench.Params()): String = {
+  /** Conversion counters and group-type census of one Table 4 run. */
+  final case class Table4Result(conversions: ConversionStats, census: Map[GroupType, Long], rounds: Int)
+
+  /** Build Bingo on LJ and apply the Mixed plan's rounds through Spark. */
+  def table4Run(spark: SparkSession, params: Bench.Params = Bench.Params()): Table4Result = {
     val g = GraphGen.generate(GraphGen.LJ)
     val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, params.batchSize, params.rounds, params.seed)
     val engine = BingoEngine.build(g.numVertices, plan.initialEdges)
@@ -310,10 +314,12 @@ object Tables {
     GraphStore.register(handle, engine)
     try plan.rounds.foreach(r => Bench.applyRoundSpark(spark, handle, r))
     finally GraphStore.remove(handle)
+    Table4Result(engine.conversions, engine.groupTypeCensus, params.rounds)
+  }
 
-    val cs = engine.conversions
-    val census = engine.groupTypeCensus
-    val rounds = params.rounds
+  def table4Format(r: Table4Result): String = {
+    val cs = r.conversions
+    val census = r.census
     val sb = new StringBuilder
     sb.append(
       "Table 4: group conversion ratio in LJ graph — per-round fraction of type-X groups converting to Y\n" +
@@ -324,7 +330,7 @@ object Tables {
     sb.append(f"${"#groups"}%12s\n")
     GroupType.All.foreach { from =>
       sb.append(f"${from.label}%-13s")
-      val pop = math.max(1L, census.getOrElse(from, 0L)) * rounds
+      val pop = math.max(1L, census.getOrElse(from, 0L)) * r.rounds
       GroupType.All.foreach { to =>
         if (from == to) sb.append(f"${"-"}%13s")
         else sb.append(f"${cs.conversions(from, to) * 100.0 / pop}%12.4f%%")
@@ -337,4 +343,7 @@ object Tables {
     )
     sb.toString
   }
+
+  def table4(spark: SparkSession, params: Bench.Params = Bench.Params()): String =
+    table4Format(table4Run(spark, params))
 }

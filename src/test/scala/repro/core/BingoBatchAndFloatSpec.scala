@@ -170,6 +170,20 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("biases whose λ-scaled integer part overflows a Long are rejected") {
+    val v = BingoVertex.build(Seq((1, 3.0), (2, 5.0)))
+    intercept[IllegalArgumentException](v.insert(3, 1e19))
+    intercept[IllegalArgumentException](v.insert(3, Double.PositiveInfinity))
+    intercept[IllegalArgumentException](new BingoVertex(lambda = 10.0).insert(3, 1e18))
+    v.validate()
+    assert(v.degree == 2 && !v.contains(3))
+    assert(v.structProbabilityOf(2) === 5.0 / 8 +- 1e-12)
+    // a bias with bit 62 set is still accepted and exact
+    v.insert(4, math.pow(2, 62))
+    v.validate()
+    assert(v.structProbabilityOf(4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
+  }
+
   test("float vs integer: λ-scaled integer biases equal pure integer mode") {
     val ws = Seq(5.0, 4.0, 3.0)
     val vi = BingoVertex.build(ws.zipWithIndex.map { case (b, i) => (i, b) })

@@ -146,20 +146,20 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   // ---------------- adaptive classification (Eq. 9) ----------------
 
   test("classification: one-element beats dense on ties") {
-    assert(GroupType.classify(1, 2, 40, 10, adaptive = true) == GroupType.OneElement)
+    assert(GroupType.classify(1, 2, adaptive = true) == GroupType.OneElement)
   }
 
   test("classification thresholds") {
-    assert(GroupType.classify(41, 100, 40, 10, adaptive = true) == GroupType.Dense)
-    assert(GroupType.classify(40, 100, 40, 10, adaptive = true) == GroupType.Regular)
-    assert(GroupType.classify(9, 100, 40, 10, adaptive = true) == GroupType.Sparse)
-    assert(GroupType.classify(10, 100, 40, 10, adaptive = true) == GroupType.Regular)
-    assert(GroupType.classify(1, 100, 40, 10, adaptive = true) == GroupType.OneElement)
+    assert(GroupType.classify(41, 100, adaptive = true) == GroupType.Dense)
+    assert(GroupType.classify(40, 100, adaptive = true) == GroupType.Regular)
+    assert(GroupType.classify(9, 100, adaptive = true) == GroupType.Sparse)
+    assert(GroupType.classify(10, 100, adaptive = true) == GroupType.Regular)
+    assert(GroupType.classify(1, 100, adaptive = true) == GroupType.OneElement)
   }
 
   test("classification: baseline mode is always regular") {
-    assert(GroupType.classify(1, 100, 40, 10, adaptive = false) == GroupType.Regular)
-    assert(GroupType.classify(90, 100, 40, 10, adaptive = false) == GroupType.Regular)
+    assert(GroupType.classify(1, 100, adaptive = false) == GroupType.Regular)
+    assert(GroupType.classify(90, 100, adaptive = false) == GroupType.Regular)
   }
 
   test("dense group: odd biases put >40% of neighbors in group 2^0") {

@@ -51,6 +51,17 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(d === 0.54 +- 1e-9)
   }
 
+  test("scaleFloat rejects non-finite biases and λ·w ≥ 2^63") {
+    Seq((Double.PositiveInfinity, 1.0), (Double.NaN, 1.0), (1e19, 1.0), (1e10, 1e9), (1.0, Double.PositiveInfinity))
+      .foreach { case (w, lambda) =>
+        intercept[IllegalArgumentException](Radix.scaleFloat(w, lambda))
+      }
+    // the largest double below 2^63 still converts exactly
+    val below = math.nextDown(math.pow(2, 63))
+    assert(Radix.scaleFloat(below, 1.0) == ((below.toLong, 0.0)))
+    assert(below.toLong < Long.MaxValue)
+  }
+
   test("decimalMassFraction matches paper Fig. 7 example (1/16 at λ=10)") {
     // biases 0.554, 0.726, 0.320 scaled by 10 -> int parts 5,7,3; dec parts 0.54+0.26+0.20=1.0
     val f = Radix.decimalMassFraction(Array(0.554, 0.726, 0.320), 10.0)
