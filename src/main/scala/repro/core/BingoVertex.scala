@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.SplittableRandom
-import scala.collection.mutable.ArrayBuffer
 
 /** BINGO's per-vertex radix-factorized sampling structure (paper §4–§5).
   *
@@ -43,7 +42,7 @@ final class BingoVertex(
   // ---- Decimal group (float mode, §4.3) ---------------------------------
   private var decList = new Array[Int](0)
   private var decLen = 0
-  private val decInv = new java.util.HashMap[Int, Int]()
+  private val decInv = new IntIntMap // slot → position in decList
   private var decSum = 0.0
   private var decMax = 0.0
 
@@ -172,10 +171,10 @@ final class BingoVertex(
 
   /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */
   def expectedProbabilityOf(dst: Int): Double = {
-    val buf = slotsOf(dst)
-    if (buf == null) return 0.0
+    var s = firstSlotOf(dst)
+    if (s < 0) return 0.0
     var w = 0.0
-    buf.foreach(s => w += biasIntArr(s).toDouble + decimalAt(s))
+    while (s >= 0) { w += biasIntArr(s).toDouble + decimalAt(s); s = nextSlotOf(s) }
     w / totalMass
   }
 
@@ -238,7 +237,7 @@ final class BingoVertex(
       if (g != null) m += g.memoryBytes
       k += 1
     }
-    m += decLen.toLong * 4 + decInv.size().toLong * 24
+    m += decList.length.toLong * 4 + decInv.memoryBytes
     if (interAlias != null) m += interAlias.memoryBytes + aliasGroupIds.length.toLong * 4
     m
   }
@@ -501,12 +500,19 @@ final class BingoVertex(
     interAlias = AliasTable(ws)
   }
 
-  // Group internals need array access for rebuild scans.
-  private[core] def scanMembers(k: Int): ArrayBuffer[Int] = {
+  /** The `count` slots whose bias has bit `k` set, in slot order: the scan
+    * behind a group's representation rebuild.
+    */
+  private[core] def scanMembers(k: Int, count: Int): Array[Int] = {
     val mask = 1L << k
-    val out = new ArrayBuffer[Int]()
+    val out = new Array[Int](count)
+    var n = 0
     var i = 0
-    while (i < d) { if ((biasIntArr(i) & mask) != 0L) out += i; i += 1 }
+    while (i < d) {
+      if ((biasIntArr(i) & mask) != 0L) { if (n < count) out(n) = i; n += 1 }
+      i += 1
+    }
+    require(n == count, s"group $k rebuild: scan $n != count $count")
     out
   }
 }
@@ -529,7 +535,7 @@ object BingoVertex {
     var listLen: Int = 0
     // Regular: slot-indexed inverted index; Sparse: hash inverted index
     var inv: Array[Int] = null
-    var invMap: java.util.HashMap[Int, Int] = null
+    var invMap: IntIntMap = null
     // One-element
     var oneSlot: Int = -1
 
@@ -547,7 +553,7 @@ object BingoVertex {
         invMap = null; oneSlot = -1
       case GroupType.Sparse =>
         list = new Array[Int](4); listLen = 0
-        invMap = new java.util.HashMap[Int, Int](); inv = null; oneSlot = -1
+        invMap = new IntIntMap; inv = null; oneSlot = -1
       case GroupType.OneElement | GroupType.Dense =>
         list = null; listLen = 0; inv = null; invMap = null; oneSlot = -1
     }
@@ -567,8 +573,7 @@ object BingoVertex {
       * group-type conversions and batch rebuilds — O(d), rare).
       */
     def rebuildRepr(owner: BingoVertex): Unit = {
-      val members = owner.scanMembers(k)
-      require(members.length == count, s"group $k rebuild: scan ${members.length} != count $count")
+      val members = owner.scanMembers(k, count)
       initRepr(owner)
       tpe match {
         case GroupType.Dense => // nothing
@@ -580,7 +585,8 @@ object BingoVertex {
     def memoryBytes: Long = tpe match {
       case GroupType.Dense => 0L
       case GroupType.OneElement => 8L
-      case GroupType.Sparse => listLen.toLong * 4 + (if (invMap == null) 0L else invMap.size().toLong * 24)
+      case GroupType.Sparse =>
+        (if (list == null) 0L else list.length.toLong * 4) + (if (invMap == null) 0L else invMap.memoryBytes)
       case GroupType.Regular =>
         (if (list == null) 0L else list.length.toLong * 4) + (if (inv == null) 0L else inv.length.toLong * 4)
     }

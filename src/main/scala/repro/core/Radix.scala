@@ -81,15 +81,18 @@ object Radix {
     if (wi + wd == 0.0) 0.0 else wd / (wi + wd)
   }
 
-  /** Smallest power-of-10 λ that keeps the decimal mass below 1/d (with a
-    * cap so pathological inputs terminate). Mirrors the paper's "empirically
-    * determine an amortisation factor" step.
+  /** Smallest power-of-10 λ that keeps the decimal mass below 1/d, bounded
+    * by `cap` and by the largest power of 10 that keeps λ·max(w) < 2^63 (the
+    * range of [[scaleFloat]]). Mirrors the paper's "empirically determine an
+    * amortisation factor" step.
     */
   def chooseLambda(biases: Array[Double], cap: Double = 1e9): Double = {
     require(biases.nonEmpty, "need at least one bias")
     val target = 1.0 / biases.length
+    val maxW = biases.max
     var lambda = 1.0
-    while (lambda < cap && decimalMassFraction(biases, lambda) >= target) lambda *= 10.0
+    while (lambda < cap && decimalMassFraction(biases, lambda) >= target && maxW * (lambda * 10.0) < TwoPow63)
+      lambda *= 10.0
     lambda
   }
 }

@@ -1,12 +1,17 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Hornet-style slot array of one vertex's neighbors (paper §4.2,
   * supplement §9.1): a growable primitive `dst` column with O(1) amortised
-  * append and delete-and-swap compaction, plus a dst → slots index in
-  * insertion (timestamp) order, so deleting a duplicated edge removes its
+  * append and delete-and-swap compaction, plus a primitive dst → slots index
+  * in insertion (timestamp) order, so deleting a duplicated edge removes its
   * earliest surviving instance (§5.2).
+  *
+  * The index is an [[IntIntMap]] from each dst to its latest slot and a
+  * per-slot `nextDup` column that links each instance of a dst to the next
+  * later one, the latest closing the ring back to the earliest. Appending
+  * (at the latest end) and taking the earliest are O(1); a compaction move
+  * walks the moved slot's ring, which is one entry unless the edge is
+  * duplicated.
   *
   * Subclasses add their own per-slot bias columns. The store calls
   * [[growColumns]] whenever the slot arrays grow and [[moveSlot]] whenever a
@@ -17,12 +22,15 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
   protected var dstArr: Array[Int] = new Array[Int](initialCap)
   protected var d: Int = 0
 
-  /** dst → slots holding an instance of (v, dst), in insertion (timestamp) order. */
-  protected val slotsByDst = new java.util.HashMap[Int, ArrayBuffer[Int]]()
+  /** Per slot: the next later slot of the same dst (the latest: the earliest). */
+  private var nextDup: Array[Int] = new Array[Int](initialCap)
+
+  /** dst → its latest slot. */
+  private var latest = new IntIntMap
 
   def degree: Int = d
   def dstAt(slot: Int): Int = dstArr(slot)
-  def contains(dst: Int): Boolean = slotsByDst.get(dst) != null
+  def contains(dst: Int): Boolean = latest.get(dst) >= 0
   private[core] def capacity: Int = dstArr.length
 
   /** Grow every subclass column to `cap` slots (`cap` > current capacity). */
@@ -40,29 +48,37 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     if (d == dstArr.length) {
       val cap = d * 2
       dstArr = java.util.Arrays.copyOf(dstArr, cap)
+      nextDup = java.util.Arrays.copyOf(nextDup, cap)
       growColumns(cap)
     }
     val slot = d
     dstArr(slot) = dst
-    var buf = slotsByDst.get(dst)
-    if (buf == null) { buf = new ArrayBuffer[Int](1); slotsByDst.put(dst, buf) }
-    buf += slot
+    val last = latest.put(dst, slot)
+    if (last < 0) nextDup(slot) = slot
+    else { nextDup(slot) = nextDup(last); nextDup(last) = slot }
     d += 1
     slot
   }
 
-  /** Slots holding `dst`, earliest first, or null if there are none. */
-  protected final def slotsOf(dst: Int): ArrayBuffer[Int] = slotsByDst.get(dst)
+  /** Earliest slot holding `dst`, or -1 if there is none. */
+  protected final def firstSlotOf(dst: Int): Int = {
+    val last = latest.get(dst)
+    if (last < 0) -1 else nextDup(last)
+  }
+
+  /** Next later slot holding the same dst as `slot`, or -1 after the latest. */
+  protected final def nextSlotOf(slot: Int): Int =
+    if (latest.get(dstArr(slot)) == slot) -1 else nextDup(slot)
 
   /** Unindex the earliest surviving instance of `dst` and return its slot,
     * or -1 if absent. The slot stays occupied until it is compacted.
     */
   protected final def takeEarliest(dst: Int): Int = {
-    val buf = slotsByDst.get(dst)
-    if (buf == null) return -1
-    val slot = buf.remove(0)
-    if (buf.isEmpty) slotsByDst.remove(dst)
-    slot
+    val last = latest.get(dst)
+    if (last < 0) return -1
+    val first = nextDup(last)
+    if (first == last) latest.remove(dst) else nextDup(last) = nextDup(first)
+    first
   }
 
   /** Compact away the `n` distinct freed slots in `freed` (sorted in place)
@@ -75,28 +91,49 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     moveSlot(from, to)
     val dst = dstArr(from)
     dstArr(to) = dst
-    // the index entry keeps its timestamp position, only the slot changes
-    val buf = slotsByDst.get(dst)
-    buf(buf.indexOf(from)) = to
+    // the slot keeps its timestamp position in its ring, only its number changes
+    val next = nextDup(from)
+    if (next == from) {
+      nextDup(to) = to
+      latest.put(dst, to)
+    } else {
+      var prev = next
+      while (nextDup(prev) != from) prev = nextDup(prev)
+      nextDup(prev) = to
+      nextDup(to) = next
+      if (latest.get(dst) == from) latest.put(dst, to)
+    }
   }
 
   /** Copy the slots and index of `src` into this (empty) store, keeping its capacity. */
   protected final def copySlotsFrom(src: SlotStore): Unit = {
-    dstArr = java.util.Arrays.copyOf(src.dstArr, src.dstArr.length)
+    dstArr = src.dstArr.clone()
+    nextDup = src.nextDup.clone()
     d = src.d
-    src.slotsByDst.forEach((k, v) => slotsByDst.put(k, v.clone()))
+    latest = src.latest.copy()
   }
 
-  /** Bytes of the dst column and the dst index (approx. 24 B per entry). */
-  protected final def slotBytes: Long = dstArr.length.toLong * 4 + slotsByDst.size().toLong * 24
+  /** Bytes of the dst column and the dst index. */
+  protected final def slotBytes: Long = (dstArr.length + nextDup.length).toLong * 4 + latest.memoryBytes
 
-  /** Fail-fast check that the dst index covers every slot exactly once. */
+  /** Fail-fast check that the dst index covers every slot exactly once, each
+    * dst's ring closing from its latest slot back to its earliest.
+    */
   protected final def validateSlots(): Unit = {
     var covered = 0
-    slotsByDst.forEach { (dst, buf) =>
-      buf.foreach { s => require(dstArr(s) == dst, s"slotsByDst wrong: slot $s"); covered += 1 }
+    latest.foreach { (dst, last) =>
+      var s = nextDup(last)
+      var steps = 0
+      var done = false
+      while (!done) {
+        require(s >= 0 && s < d && dstArr(s) == dst && steps < d, s"dst index wrong: slot $s in the ring of $dst")
+        steps += 1
+        done = s == last
+        s = nextDup(s)
+      }
+      covered += steps
     }
-    require(covered == d, s"slotsByDst covers $covered of $d slots")
+    require(covered == d, s"dst index covers $covered of $d slots")
   }
 }
 

@@ -54,16 +54,18 @@ object Bench {
 
   /** Apply one update round as a single Spark job (one task per slice).
     * The driver splits the batch by slice into primitive columns, and each
-    * task receives only its own slice's updates.
+    * task receives only its own slice's updates. An update whose src or dst
+    * is not a vertex of the engine is rejected before any task runs.
     *
     * @return critical-path seconds: the slowest task's in-task time
     */
   def applyRoundSpark(spark: SparkSession, handle: String, round: Seq[Update]): Double = {
     val sc = spark.sparkContext
     val p = math.max(1, sc.defaultParallelism)
+    val batches = splitBySlice(round, p, GraphStore.get(handle).numVertices)
     // p batches in p partitions: exactly one slice per task
     val taskNanos = sc
-      .parallelize(splitBySlice(round, p).toSeq, p)
+      .parallelize(batches.toSeq, p)
       .map { batch =>
         val eng = GraphStore.get(handle)
         val t0 = System.nanoTime()
@@ -139,11 +141,15 @@ object Bench {
     }
   }
 
-  /** Split `round` into `p` slice batches: count, then fill. */
-  private def splitBySlice(round: Seq[Update], p: Int): Array[SliceBatch] = {
+  /** Split `round` into `p` slice batches: count, then fill. Rejects an
+    * update whose src or dst is not a vertex of the `n`-vertex engine.
+    */
+  private def splitBySlice(round: Seq[Update], p: Int, n: Int): Array[SliceBatch] = {
     val counts = new Array[Int](p)
     round.foreach { u =>
       require(u.src >= 0, s"update $u has a negative src")
+      require(u.dst >= 0, s"update $u has a negative dst")
+      require(u.src < n && u.dst < n, s"update $u names a vertex outside the engine's $n vertices")
       counts(u.src % p) += 1
     }
     val batches = Array.tabulate(p)(s => new SliceBatch(s, counts(s)))

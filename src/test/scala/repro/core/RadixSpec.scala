@@ -80,6 +80,20 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(Radix.chooseLambda(Array(5.0, 4.0, 3.0)) == 1.0)
   }
 
+  test("chooseLambda stops at the largest power of 10 keeping λ·max(w) < 2^63") {
+    val twoPow63 = math.pow(2, 63)
+    // the decimal mass stays above 1/d at every λ a Double can hold
+    Seq(Array(Double.MinPositiveValue), Array(1e-320, 3e-321, 2e-320)).foreach { biases =>
+      val lambda = Radix.chooseLambda(biases, cap = Double.PositiveInfinity)
+      assert(biases.max * lambda < twoPow63, s"λ = $lambda")
+      assert(!(biases.max * (lambda * 10.0) < twoPow63), s"λ = $lambda is not the largest")
+      biases.foreach(w => Radix.scaleFloat(w, lambda)) // usable
+    }
+    // an uncapped search that meets the mass target is unchanged by the bound
+    val biases = Array(0.25, 0.5, 1.75)
+    assert(Radix.chooseLambda(biases, cap = Double.PositiveInfinity) == Radix.chooseLambda(biases))
+  }
+
   test("Spark group weights W(p_k) match DuckDB bitwise SQL (Eq. 4)") {
     import org.apache.spark.sql.functions._
     import spark.implicits._

@@ -93,6 +93,27 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
     } finally GraphStore.remove("eval-spec-neg")
   }
 
+  test("applyRoundSpark rejects a negative dst and an out-of-range src or dst before running any task") {
+    val eng = BingoEngine.factory().build(4, Seq(Edge(0, 1, 1.0)))
+    GraphStore.register("eval-spec-range", eng)
+    try {
+      val ok = Update(1, insert = true, 0, 2, 1.0)
+      val bad = Seq(
+        Update(2, insert = true, 0, -1, 1.0) -> "negative dst",
+        Update(2, insert = true, 1, -7, 1.0) -> "negative dst",
+        Update(2, insert = true, 4, 2, 1.0) -> "outside the engine's 4 vertices",
+        Update(2, insert = false, 1, 4, 0.0) -> "outside the engine's 4 vertices",
+      )
+      bad.foreach { case (u, msg) =>
+        val e = intercept[IllegalArgumentException](Bench.applyRoundSpark(spark, "eval-spec-range", Seq(ok, u)))
+        assert(e.getMessage.contains(msg), e.getMessage)
+      }
+      // no update in any rejected batch was applied
+      assert((0 until 4).map(eng.outDegree) == Seq(1, 0, 0, 0))
+      assert(!eng.hasEdge(0, -1) && !eng.hasEdge(0, 2))
+    } finally GraphStore.remove("eval-spec-range")
+  }
+
   for (f <- Tables.frameworks) {
     test(s"runConfig smoke: ${f.name} on AM-lite/tiny params") {
       val g = GraphGen.generate(GraphGen.AM)
