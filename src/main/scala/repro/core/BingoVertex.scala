@@ -70,53 +70,58 @@ final class BingoVertex(
   }
 
   /** Streaming insertion (§4.2, Fig. 5): a batch of one. O(K). */
-  def insert(dst: Int, bias: Double): Unit = applyBatch((dst, bias) :: Nil, Nil)
+  def insert(dst: Int, bias: Double): Unit = applyBatch(Array(dst), Array(bias), Array(true), 0, 1)
 
   /** Streaming deletion (§4.2, Fig. 6) of the earliest instance of (v, dst):
     * a batch of one. O(K).
     *
     * @return false if no instance of (v, dst) exists
     */
-  def delete(dst: Int): Boolean = applyBatch(Nil, dst :: Nil) == 1
+  def delete(dst: Int): Boolean = applyBatch(Array(dst), Array(0.0), Array(false), 0, 1) == 1
 
-  /** Batched updates for this vertex (§5.2, Fig. 10a): insert all, delete
-    * all (two-phase parallel delete-and-swap per group, Fig. 10b), then one
-    * rebuild pass that handles the touched groups' type conversions and the
-    * inter-group alias table. The only code that changes a vertex.
+  /** Batched updates for this vertex (§5.2, Fig. 10a): entries
+    * `from until until` of the `dst` / `bias` / `insert` columns, in
+    * timestamp order. Insert all, delete all (two-phase parallel
+    * delete-and-swap per group, Fig. 10b), then one rebuild pass that
+    * handles the touched groups' type conversions and the inter-group alias
+    * table. The only code that changes a vertex.
     *
     * @return number of deletions actually applied
     */
-  def applyBatch(inserts: Seq[(Int, Double)], deletes: Seq[Int]): Int = {
+  def applyBatch(dst: Array[Int], bias: Array[Double], insert: Array[Boolean], from: Int, until: Int): Int = {
     // Groups an update actually landed in — only these are reconsidered for
     // a type conversion in the rebuild phase (§5.2: conversions are driven
     // by the insertions/deletions a group received, not by drift of d).
     var touchedBits = 0L
 
     // -- insert phase: append slots; groups absorb without reclassification
-    val ins = inserts.iterator
-    while (ins.hasNext) {
-      val (dst, bias) = ins.next()
-      val slot = appendNeighbor(dst, bias)
-      var rest = biasIntArr(slot)
-      touchedBits |= rest
-      while (rest != 0) {
-        groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot)
-        rest &= rest - 1
+    var deletes = 0
+    var i = from
+    while (i < until) {
+      if (!insert(i)) deletes += 1
+      else {
+        val slot = appendNeighbor(dst(i), bias(i))
+        var rest = biasIntArr(slot)
+        touchedBits |= rest
+        while (rest != 0) {
+          groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot)
+          rest &= rest - 1
+        }
+        if (decimalAt(slot) > 0.0) decInsert(slot)
       }
-      if (decimalAt(slot) > 0.0) decInsert(slot)
+      i += 1
     }
 
     // -- delete phase: resolve earliest instances, then compact
+    val freed = new Array[Int](deletes) // distinct: takeEarliest unindexes
     var applied = 0
-    if (deletes.nonEmpty) {
-      val freed = new Array[Int](deletes.size) // distinct: takeEarliest unindexes
-      val dels = deletes.iterator
-      while (dels.hasNext) {
-        val slot = takeEarliest(dels.next())
-        if (slot >= 0) { freed(applied) = slot; applied += 1 }
-      }
-      if (applied > 0) touchedBits |= deleteSlots(freed, applied)
+    i = from
+    while (i < until) {
+      val slot = if (insert(i)) -1 else takeEarliest(dst(i))
+      if (slot >= 0) { freed(applied) = slot; applied += 1 }
+      i += 1
     }
+    if (applied > 0) touchedBits |= deleteSlots(freed, applied)
 
     // -- rebuild phase: conversions of the touched groups (every dirty group
     // was touched in this batch) + inter-group alias
@@ -592,7 +597,7 @@ object BingoVertex {
     }
   }
 
-  /** Build a vertex sampler from scratch via one batch (fast path). */
+  /** Build a vertex sampler from scratch: `neighbors` as one insert batch. */
   def build(
       neighbors: Seq[(Int, Double)],
       adaptive: Boolean = true,
@@ -600,7 +605,8 @@ object BingoVertex {
       conversions: ConversionStats = null,
   ): BingoVertex = {
     val v = new BingoVertex(adaptive = adaptive, lambda = lambda, conversions = conversions)
-    v.applyBatch(neighbors, Seq.empty)
+    val n = neighbors.size
+    v.applyBatch(neighbors.map(_._1).toArray, neighbors.map(_._2).toArray, Array.fill(n)(true), 0, n)
     v
   }
 }

@@ -25,10 +25,15 @@ final class BingoEngine(
   def outDegree(v: Int): Int = vertices(v).degree
   def hasEdge(u: Int, v: Int): Boolean = vertices(u).contains(v)
 
+  /** The vertex's updates as `dst` / `bias` / `insert` columns, one batch. */
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = {
-    val ins = updates.collect { case u if u.insert => (u.dst, u.bias) }
-    val del = updates.collect { case u if !u.insert => u.dst }
-    vertices(src).applyBatch(ins, del)
+    val n = updates.length
+    val dst = new Array[Int](n)
+    val bias = new Array[Double](n)
+    val insert = new Array[Boolean](n)
+    var i = 0
+    for (u <- updates) { dst(i) = u.dst; bias(i) = u.bias; insert(i) = u.insert; i += 1 }
+    vertices(src).applyBatch(dst, bias, insert, 0, n)
   }
 
   /** No global rebuild — Bingo's point. */
@@ -65,9 +70,8 @@ object BingoEngine {
   /** Build from a snapshot: one insert batch per source vertex. */
   def build(numVertices: Int, initial: Seq[Edge], adaptive: Boolean = true): BingoEngine = {
     val e = new BingoEngine(numVertices, adaptive)
-    initial.groupBy(_.src).foreach { case (src, es) =>
-      e.vertices(src).applyBatch(es.map(x => (x.dst, x.bias)), Seq.empty)
-    }
+    val b = UpdateBatch.snapshot(initial, numVertices)
+    b.foreachRun((v, from, until) => e.vertices(v).applyBatch(b.dst, b.bias, b.insert, from, until))
     e
   }
 

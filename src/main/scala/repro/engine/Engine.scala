@@ -8,14 +8,16 @@ import repro.graph.{Edge, Update}
   * Round semantics follow the paper's evaluation workflow: each round first
   * applies `batchSize` updates, then runs the random-walk application. The
   * harness fans a round out as one Spark task per vertex slice (ownership
-  * `v % stride == slice`, the 1-D partitioning of supplement §9.1); each
-  * task calls [[applyVertexUpdates]] for its vertices' updates in timestamp
-  * order and then [[postRoundSlice]] for its slice's per-round rebuild work
-  * (alias/CDF reconstruction for the static-sampler baselines, graph reload
-  * for FlowWalker, nothing for Bingo). Tasks own disjoint vertices, so no
-  * locking is needed — the analogue of one GPU block per vertex.
+  * `v % stride == slice`, the 1-D partitioning of supplement §9.1). The
+  * driver validates the round and groups it by vertex as one
+  * [[UpdateBatch]] per slice; each task calls [[applyVertexUpdates]] for its
+  * vertices' updates in timestamp order and then [[postRoundSlice]] for its
+  * slice's per-round rebuild work (alias/CDF reconstruction for the
+  * static-sampler baselines, graph reload for FlowWalker, nothing for
+  * Bingo). Tasks own disjoint vertices, so no locking is needed — the
+  * analogue of one GPU block per vertex.
   *
-  * [[applyRoundLocal]] composes both phases single-threaded for unit tests.
+  * [[applyRoundLocal]] runs the same batch as one slice, single-threaded.
   * Sampling ([[sampleNext]]) is read-only and thread-safe between rounds.
   */
 trait WalkEngine extends Serializable {
@@ -41,11 +43,9 @@ trait WalkEngine extends Serializable {
   /** Exact next-hop distribution at `u`, derived from the live structures. */
   def exactDistribution(u: Int): Map[Int, Double]
 
-  /** Single-threaded convenience: group by src, apply, then rebuild all. */
+  /** Single-threaded round: the Spark round's code with one slice. */
   def applyRoundLocal(updates: Seq[Update]): Unit = {
-    updates.groupBy(_.src).foreach { case (src, us) =>
-      applyVertexUpdates(src, us.sortBy(_.ts))
-    }
+    UpdateBatch.split(updates, 1, numVertices)(0).applyTo(this)
     postRoundSlice(0, 1)
   }
 }

@@ -87,12 +87,13 @@ abstract class RebuildEngine(val numVertices: Int) extends WalkEngine {
 }
 
 object RebuildEngine {
-  /** Factory for a baseline: insert the snapshot into `adj`, then one full reload. */
+  /** Factory for a baseline: insert the checked snapshot into `adj`, then one full reload. */
   def factory(label: String, make: Int => RebuildEngine): EngineFactory = new EngineFactory {
     def name: String = label
     def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
       val e = make(numVertices)
-      initial.foreach(x => e.adj(x.src).insert(x.dst, x.bias))
+      val b = UpdateBatch.snapshot(initial, numVertices)
+      for (i <- 0 until b.size) e.adj(b.src(i)).insert(b.dst(i), b.bias(i))
       e.postRoundSlice(0, 1)
       e
     }

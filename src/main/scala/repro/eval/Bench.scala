@@ -1,8 +1,7 @@
 package repro.eval
 
-import scala.collection.immutable.ArraySeq
 import org.apache.spark.sql.SparkSession
-import repro.engine.{EngineFactory, GraphStore, WalkEngine}
+import repro.engine.{EngineFactory, GraphStore, UpdateBatch, WalkEngine}
 import repro.graph.{GraphGen, Update, UpdateGen, UpdateMode}
 import repro.walk.Walks
 
@@ -13,9 +12,10 @@ import repro.walk.Walks
   * Parallelisation mirrors the GPU design through Spark's RDD core: a
   * round is one Spark job with one task per vertex slice (`v % P`, the 1-D
   * partitioning of supplement §9.1); each task receives only its slice's
-  * updates, applies them per vertex and then runs its slice of the
-  * engine's per-round rebuild. Walks fan out as a range of walker ids, one
-  * partition per core.
+  * [[repro.engine.UpdateBatch]] (validated and grouped by vertex on the
+  * driver, the same batch `applyRoundLocal` applies as one slice), applies
+  * it per vertex and then runs its slice of the engine's per-round
+  * rebuild. Walks fan out as a range of walker ids, one partition per core.
   *
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
@@ -53,25 +53,25 @@ object Bench {
   }
 
   /** Apply one update round as a single Spark job (one task per slice).
-    * The driver splits the batch by slice into primitive columns, and each
-    * task receives only its own slice's updates. An update whose src or dst
-    * is not a vertex of the engine is rejected before any task runs.
+    * The driver validates the round and splits it into one [[UpdateBatch]]
+    * per slice, so a malformed update is rejected before any task runs and
+    * each task receives only its own slice's updates.
     *
     * @return critical-path seconds: the slowest task's in-task time
     */
   def applyRoundSpark(spark: SparkSession, handle: String, round: Seq[Update]): Double = {
     val sc = spark.sparkContext
     val p = math.max(1, sc.defaultParallelism)
-    val batches = splitBySlice(round, p, GraphStore.get(handle).numVertices)
-    // p batches in p partitions: exactly one slice per task
+    val batches = UpdateBatch.split(round, p, GraphStore.get(handle).numVertices)
+    // p batches in p partitions: partition s holds exactly slice s
     val taskNanos = sc
       .parallelize(batches.toSeq, p)
-      .map { batch =>
+      .mapPartitionsWithIndex { (slice, it) =>
         val eng = GraphStore.get(handle)
         val t0 = System.nanoTime()
-        batch.applyTo(eng)
-        eng.postRoundSlice(batch.slice, p)
-        System.nanoTime() - t0
+        it.foreach(_.applyTo(eng))
+        eng.postRoundSlice(slice, p)
+        Iterator.single(System.nanoTime() - t0)
       }
       .collect()
     taskNanos.max / 1e9
@@ -100,61 +100,6 @@ object Bench {
       }
       .collect()
     (perTask.map(_._1).sum, perTask.map(_._2).max / 1e9)
-  }
-
-  /** One slice's updates (`src % p == slice`) in batch order, as columns. */
-  private final class SliceBatch(val slice: Int, capacity: Int) extends Serializable {
-    private val ts = new Array[Long](capacity)
-    private val insert = new Array[Boolean](capacity)
-    private val src = new Array[Int](capacity)
-    private val dst = new Array[Int](capacity)
-    private val bias = new Array[Double](capacity)
-    private var n = 0
-
-    def +=(u: Update): Unit = {
-      ts(n) = u.ts
-      insert(n) = u.insert
-      src(n) = u.src
-      dst(n) = u.dst
-      bias(n) = u.bias
-      n += 1
-    }
-
-    /** Apply each vertex's updates in `ts` order (a stable sort, as in `applyRoundLocal`). */
-    def applyTo(eng: WalkEngine): Unit = {
-      // (src, batch position) packed in one long: one primitive sort groups
-      // the updates by vertex and keeps batch order within a vertex
-      val keys = Array.tabulate(n)(i => (src(i).toLong << 32) | i)
-      java.util.Arrays.sort(keys)
-      var i = 0
-      while (i < n) {
-        val v = (keys(i) >>> 32).toInt
-        var j = i
-        while (j < n && (keys(j) >>> 32).toInt == v) j += 1
-        val us = Array.tabulate(j - i) { k =>
-          val x = keys(i + k).toInt
-          Update(ts(x), insert(x), v, dst(x), bias(x))
-        }
-        eng.applyVertexUpdates(v, ArraySeq.unsafeWrapArray(us.sortBy(_.ts)))
-        i = j
-      }
-    }
-  }
-
-  /** Split `round` into `p` slice batches: count, then fill. Rejects an
-    * update whose src or dst is not a vertex of the `n`-vertex engine.
-    */
-  private def splitBySlice(round: Seq[Update], p: Int, n: Int): Array[SliceBatch] = {
-    val counts = new Array[Int](p)
-    round.foreach { u =>
-      require(u.src >= 0, s"update $u has a negative src")
-      require(u.dst >= 0, s"update $u has a negative dst")
-      require(u.src < n && u.dst < n, s"update $u names a vertex outside the engine's $n vertices")
-      counts(u.src % p) += 1
-    }
-    val batches = Array.tabulate(p)(s => new SliceBatch(s, counts(s)))
-    round.foreach(u => batches(u.src % p) += u)
-    batches
   }
 
   /** Run one cell of Table 3: a (dataset, app, mode, framework) config. */

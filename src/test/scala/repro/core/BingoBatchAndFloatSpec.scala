@@ -16,7 +16,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     // all deleted entries sit in the tail window — fillers must not be doomed
     val v = BingoVertex.build((0 until 10).map(i => (i, 4.0))) // all in one group
     val dels = Seq(9, 8, 7) // the whole tail window is doomed
-    v.applyBatch(Seq.empty, dels)
+    Batch(v, Seq.empty, dels)
     v.validate()
     assert(v.degree == 7)
     (0 until 7).foreach(i => assert(v.contains(i)))
@@ -24,7 +24,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("two-phase: mixed front and tail deletions") {
     val v = BingoVertex.build((0 until 10).map(i => (i, 4.0)))
-    v.applyBatch(Seq.empty, Seq(0, 9, 1, 8)) // 2 front + 2 tail doomed
+    Batch(v, Seq.empty, Seq(0, 9, 1, 8)) // 2 front + 2 tail doomed
     v.validate()
     assert(v.degree == 6)
     Seq(0, 1, 8, 9).foreach(d => assert(!v.contains(d)))
@@ -33,7 +33,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("two-phase: delete everything") {
     val v = BingoVertex.build((0 until 12).map(i => (i, (i + 1).toDouble)))
-    v.applyBatch(Seq.empty, 0 until 12)
+    Batch(v, Seq.empty, 0 until 12)
     v.validate()
     assert(v.degree == 0)
     assert(v.sample(new java.util.SplittableRandom(1)) == -1)
@@ -41,7 +41,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("two-phase: delete all but one") {
     val v = BingoVertex.build((0 until 12).map(i => (i, 7.0)))
-    v.applyBatch(Seq.empty, 1 until 12)
+    Batch(v, Seq.empty, 1 until 12)
     v.validate()
     assert(v.degree == 1)
     assert(v.contains(0))
@@ -53,15 +53,26 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     // delete existing (1) and re-insert it with a new bias in the same batch:
     // the insert lands first (paper order), the delete then removes the
     // *earlier* instance, leaving the new one.
-    v.applyBatch(Seq((1, 9.0)), Seq(1))
+    Batch(v, Seq((1, 9.0)), Seq(1))
     v.validate()
     assert(v.degree == 2)
     assert(v.expectedProbabilityOf(1) === 9.0 / 14 +- 1e-12)
   }
 
+  test("applyBatch reads only its column range and applies the range's inserts before its deletes") {
+    val v = BingoVertex.build(Seq((2, 1.0)))
+    // the range [1, 3) lists the delete of (1) before the insert of (1): the
+    // insert lands first, so the delete finds it; the entries outside the
+    // range (deletes of 2) are not read
+    val applied = v.applyBatch(Array(2, 1, 1, 2), Array(0.0, 0.0, 5.0, 0.0), Array(false, false, true, false), 1, 3)
+    assert(applied == 1)
+    v.validate()
+    assert(v.degree == 1 && !v.contains(1) && v.contains(2))
+  }
+
   test("batch deletes of absent edges are counted but harmless") {
     val v = BingoVertex.build(Seq((1, 3.0)))
-    val applied = v.applyBatch(Seq.empty, Seq(42, 1, 42))
+    val applied = Batch(v, Seq.empty, Seq(42, 1, 42))
     assert(applied == 1)
     v.validate()
     assert(v.degree == 0)
@@ -70,7 +81,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   test("pure-insert batch equals incremental inserts") {
     val rnd = new Random(123)
     val ns = (0 until 100).map(i => (i, (1 + rnd.nextInt(300)).toDouble))
-    val vb = new BingoVertex(); vb.applyBatch(ns, Seq.empty)
+    val vb = new BingoVertex(); Batch(vb, ns, Seq.empty)
     val vs = new BingoVertex(); ns.foreach { case (d, b) => vs.insert(d, b) }
     vb.validate(); vs.validate()
     ns.foreach { case (d, _) =>
@@ -85,7 +96,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
       val ns = (0 until n).map(i => (i, (1 + rnd.nextInt(1023)).toDouble))
       val v = BingoVertex.build(ns)
       val dels = rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1))
-      v.applyBatch(Seq.empty, dels)
+      Batch(v, Seq.empty, dels)
       v.validate()
       assert(v.degree == n - dels.size)
       val tot = ns.filterNot(x => dels.contains(x._1)).map(_._2).sum
@@ -137,10 +148,10 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     val rnd = new Random(321)
     val v = new BingoVertex(lambda = 100.0)
     val ns = (0 until 60).map(i => (i, rnd.nextDouble() * 5 + 0.01))
-    v.applyBatch(ns, Seq.empty)
+    Batch(v, ns, Seq.empty)
     v.validate()
     val dels = rnd.shuffle((0 until 60).toList).take(25)
-    v.applyBatch((100 until 110).map(i => (i, rnd.nextDouble() * 5 + 0.01)), dels)
+    Batch(v, (100 until 110).map(i => (i, rnd.nextDouble() * 5 + 0.01)), dels)
     v.validate()
     val liveNs = ns.filterNot(x => dels.contains(x._1))
     assert(v.degree == liveNs.size + 10)

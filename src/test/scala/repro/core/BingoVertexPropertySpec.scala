@@ -61,7 +61,7 @@ class BingoVertexPropertySpec extends AnyFunSuite {
       val afterIns = live ++ inserts
       val nDel = rnd.nextInt(math.min(afterIns.length + 1, 25))
       val delDsts = new Random(seed * 31 + nDel).shuffle(afterIns.map(_._1)).take(nDel)
-      val applied = v.applyBatch(inserts, delDsts)
+      val applied = Batch(v, inserts, delDsts)
       assert(applied == nDel)
       // model: inserts appended, then deletes remove earliest instances
       var model = afterIns
@@ -100,8 +100,8 @@ class BingoVertexPropertySpec extends AnyFunSuite {
       deletes.foreach(d => assert(vs.delete(d)))
 
       val vb = new BingoVertex(adaptive = true)
-      vb.applyBatch(initial, Seq.empty)
-      vb.applyBatch(inserts, deletes)
+      Batch(vb, initial, Seq.empty)
+      Batch(vb, inserts, deletes)
 
       vs.validate(); vb.validate()
       assert(vs.degree == vb.degree)

@@ -59,6 +59,20 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("every factory rejects a snapshot edge with a bad src or dst, or a bias that is not positive and finite") {
+    val badBias = "has a bias that is not positive and finite"
+    val bad = Seq(
+      Edge(-1, 0, 1.0) -> "has a negative src",
+      Edge(0, -2, 1.0) -> "has a negative dst",
+      Edge(3, 0, 1.0) -> "names a vertex outside the engine's 3 vertices",
+      Edge(0, 3, 1.0) -> "names a vertex outside the engine's 3 vertices",
+    ) ++ Seq(0.0, -2.0, Double.NaN, Double.PositiveInfinity).map(w => Edge(0, 2, w) -> badBias)
+    for ((f, tag) <- factories; (e, msg) <- bad) {
+      val ex = intercept[IllegalArgumentException](f.build(3, Seq(Edge(0, 1, 1.0), e)))
+      assert(ex.getMessage.contains(s"snapshot edge $e $msg"), s"$tag: ${ex.getMessage}")
+    }
+  }
+
   for ((f, tag) <- factories; mode <- UpdateMode.All) {
     test(s"$tag stays exact through ${mode.label} rounds") {
       val (v, edges) = smallWorld(2)

@@ -3,7 +3,7 @@ package repro.engine
 import org.apache.spark.util.SizeEstimator
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{BingoVertex, GroupType}
+import repro.core.{Batch, BingoVertex, GroupType}
 
 /** The hand-written `memoryBytes` models against Spark's `SizeEstimator`,
   * which walks the live object graph: both must count the same arrays.
@@ -37,7 +37,7 @@ class MemoryModelSpec extends AnyFunSuite {
       assert(adaptive.activeGroupBits.exists(k => adaptive.groupTypeOf(k).contains(GroupType.Sparse)))
       cases.foreach { case (tag, v) =>
         assertClose(v.memoryBytes, SizeEstimator.estimate(v), s"$tag, built")
-        v.applyBatch(Nil, doomed)
+        Batch(v, Nil, doomed)
         v.validate()
         assertClose(v.memoryBytes, SizeEstimator.estimate(v), s"$tag, a quarter deleted")
       }

@@ -89,29 +89,43 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       val e = intercept[IllegalArgumentException](Bench.applyRoundSpark(spark, "eval-spec-neg", bad))
       assert(e.getMessage.contains("negative src") && e.getMessage.contains("-1"))
       assert(eng.outDegree(0) == 1) // the valid update in the batch was not applied either
-      intercept[IndexOutOfBoundsException](eng.applyRoundLocal(bad))
+      val local = intercept[IllegalArgumentException](eng.applyRoundLocal(bad))
+      assert(local.getMessage == e.getMessage)
+      assert(eng.outDegree(0) == 1)
     } finally GraphStore.remove("eval-spec-neg")
   }
 
+  // Also checks every engine, applyRoundLocal (same exception and message)
+  // and insert biases that are not positive and finite.
   test("applyRoundSpark rejects a negative dst and an out-of-range src or dst before running any task") {
-    val eng = BingoEngine.factory().build(4, Seq(Edge(0, 1, 1.0)))
-    GraphStore.register("eval-spec-range", eng)
-    try {
-      val ok = Update(1, insert = true, 0, 2, 1.0)
-      val bad = Seq(
-        Update(2, insert = true, 0, -1, 1.0) -> "negative dst",
-        Update(2, insert = true, 1, -7, 1.0) -> "negative dst",
-        Update(2, insert = true, 4, 2, 1.0) -> "outside the engine's 4 vertices",
-        Update(2, insert = false, 1, 4, 0.0) -> "outside the engine's 4 vertices",
-      )
-      bad.foreach { case (u, msg) =>
-        val e = intercept[IllegalArgumentException](Bench.applyRoundSpark(spark, "eval-spec-range", Seq(ok, u)))
-        assert(e.getMessage.contains(msg), e.getMessage)
-      }
-      // no update in any rejected batch was applied
-      assert((0 until 4).map(eng.outDegree) == Seq(1, 0, 0, 0))
-      assert(!eng.hasEdge(0, -1) && !eng.hasEdge(0, 2))
-    } finally GraphStore.remove("eval-spec-range")
+    val ok = Update(1, insert = true, 0, 2, 1.0)
+    val badBias = "has a bias that is not positive and finite"
+    val bad = Seq(
+      Update(2, insert = true, 0, -1, 1.0) -> "negative dst",
+      Update(2, insert = true, 1, -7, 1.0) -> "negative dst",
+      Update(2, insert = true, 4, 2, 1.0) -> "outside the engine's 4 vertices",
+      Update(2, insert = false, 1, 4, 0.0) -> "outside the engine's 4 vertices",
+    ) ++ Seq(0.0, -3.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+      .map(w => Update(2, insert = true, 1, 3, w) -> badBias)
+    for (f <- Tables.frameworks) {
+      val eng = f.build(4, Seq(Edge(0, 1, 1.0)))
+      GraphStore.register("eval-spec-range", eng)
+      try {
+        bad.foreach { case (u, msg) =>
+          val e = intercept[IllegalArgumentException](Bench.applyRoundSpark(spark, "eval-spec-range", Seq(ok, u)))
+          assert(e.getMessage.contains(msg) && e.getMessage.contains(u.toString), s"${f.name}: ${e.getMessage}")
+          val local = intercept[IllegalArgumentException](eng.applyRoundLocal(Seq(ok, u)))
+          assert(local.getMessage == e.getMessage, f.name)
+        }
+        // no update in any rejected batch was applied, on either path
+        assert((0 until 4).map(eng.outDegree) == Seq(1, 0, 0, 0), f.name)
+        assert(eng.exactDistribution(0) == Map(1 -> 1.0), f.name)
+        assert(!eng.hasEdge(0, 2) && !eng.hasEdge(1, 3), f.name)
+        // a delete's bias is not read, so it is not checked
+        eng.applyRoundLocal(Seq(Update(3, insert = false, 0, 1, Double.NaN)))
+        assert(eng.outDegree(0) == 0, f.name)
+      } finally GraphStore.remove("eval-spec-range")
+    }
   }
 
   for (f <- Tables.frameworks) {
