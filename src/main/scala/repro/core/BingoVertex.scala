@@ -8,8 +8,13 @@ import java.util.SplittableRandom
   * this class extends with its bias columns (`biasIntArr`, `decArr`). Each
   * integer (λ-scaled) bias is decomposed by its set bits (Eq. 3); slots
   * sharing bit `k` form radix group `p_k` with weight `|G_k|·2^k` (Eq. 4).
-  * Sampling is hierarchical (§4.1): an inter-group alias table picks a group
-  * in O(1), then uniform intra-group sampling picks a slot in O(1).
+  * The decimal remainders of float biases (§4.3) form one more group,
+  * [[BingoVertex.DecimalGroup]] = 63, weighted by their sum: a positive
+  * `Long` never sets bit 63, so that bit of a slot's bias word marks "has a
+  * decimal" and the word is the slot's full group mask. Sampling is
+  * hierarchical (§4.1): an inter-group alias table picks a group in O(1),
+  * then uniform intra-group sampling picks a slot in O(1); in the decimal
+  * group the pick is accepted with probability `dec/max dec`.
   * Every update goes through the paper's per-vertex insert → delete →
   * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
   * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs
@@ -33,39 +38,30 @@ final class BingoVertex(
   import BingoVertex._
 
   // ---- Bias columns of the slots ----------------------------------------
-  private var biasIntArr = new Array[Long](InitialCap) // λ-scaled integer part
+  private var biasIntArr = new Array[Long](InitialCap) // λ-scaled integer part | DecimalBit
   private var decArr: Array[Double] = null // decimal remainders; allocated on demand
 
-  // ---- Radix groups ------------------------------------------------------
-  private val groups = new Array[Group](Radix.MaxBits + 1)
-
-  // ---- Decimal group (float mode, §4.3) ---------------------------------
-  private var decList = new Array[Int](0)
-  private var decLen = 0
-  private val decInv = new IntIntMap // slot → position in decList
-  private var decSum = 0.0
-  private var decMax = 0.0
+  // ---- Groups: radix groups 0..62, the decimal group 63 -----------------
+  private val groups = new Array[Group](DecimalGroup + 1)
+  private var decSum = 0.0 // weight of the decimal group
+  private var decMax = 0.0 // largest decimal: its rejection bound
 
   // ---- Inter-group sampling space ---------------------------------------
   private var interAlias: AliasTable = null
-  private var aliasGroupIds: Array[Int] = null // bit position, or DecimalGroupId
+  private var aliasGroupIds: Array[Int] = null // group id of each alias entry
 
   // =======================================================================
   // Public API
   // =======================================================================
 
-  def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot)
+  def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot) & ~DecimalBit
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
 
   /** Total λ-scaled mass Σ(int + dec) — the sampling normaliser. */
   def totalMass: Double = {
-    var m = decSum
+    var m = 0.0
     var k = 0
-    while (k <= Radix.MaxBits) {
-      val g = groups(k)
-      if (g != null) m += g.count.toDouble * (1L << k).toDouble
-      k += 1
-    }
+    while (k <= DecimalGroup) { if (groups(k) != null) m += weight(k); k += 1 }
     m
   }
 
@@ -107,7 +103,6 @@ final class BingoVertex(
           groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot)
           rest &= rest - 1
         }
-        if (decimalAt(slot) > 0.0) decInsert(slot)
       }
       i += 1
     }
@@ -135,7 +130,8 @@ final class BingoVertex(
   }
 
   /** Hierarchical O(1) sampling (§4.1): inter-group alias draw, then uniform
-    * (or dense-rejection / decimal-rejection) intra-group draw.
+    * (or dense-rejection) intra-group draw, and in the decimal group the
+    * rejection step of §4.3.
     *
     * @return the sampled neighbor's dst, or -1 if the vertex has no mass
     */
@@ -147,29 +143,23 @@ final class BingoVertex(
   private def sampleSlot(rng: SplittableRandom): Int = {
     if (interAlias == null) return -1
     val gid = aliasGroupIds(interAlias.sample(rng))
-    if (gid == DecimalGroupId) {
-      // rejection inside the decimal group
-      while (true) {
-        val slot = decList(rng.nextInt(decLen))
-        if (rng.nextDouble() * decMax < decArr(slot)) return slot
-      }
-      -1
-    } else {
-      val g = groups(gid)
-      g.tpe match {
-        case GroupType.OneElement => g.oneSlot
-        case GroupType.Regular | GroupType.Sparse => g.list(rng.nextInt(g.listLen))
-        case GroupType.Dense =>
-          // rejection on the original neighbor list: accept iff bit k set
-          val mask = 1L << gid
-          while (true) {
-            val slot = rng.nextInt(d)
-            if ((biasIntArr(slot) & mask) != 0L) return slot
-          }
-          -1
-        case _ => -1
-      }
-    }
+    val g = groups(gid)
+    var slot = pick(g, rng)
+    // a decimal member is kept with probability dec/decMax, so P = dec/decSum
+    if (gid == DecimalGroup) while (rng.nextDouble() * decMax >= decArr(slot)) slot = pick(g, rng)
+    slot
+  }
+
+  /** A uniformly drawn member of group `g`. */
+  private def pick(g: Group, rng: SplittableRandom): Int = g.tpe match {
+    case GroupType.OneElement => g.oneSlot
+    case GroupType.Regular | GroupType.Sparse => g.list(rng.nextInt(g.listLen))
+    case GroupType.Dense =>
+      // rejection on the original neighbor list: accept iff bit k set
+      val mask = 1L << g.k
+      var slot = rng.nextInt(d)
+      while ((biasIntArr(slot) & mask) == 0L) slot = rng.nextInt(d)
+      slot
   }
 
   // ---- Introspection for tests, stats and memory accounting -------------
@@ -179,7 +169,7 @@ final class BingoVertex(
     var s = firstSlotOf(dst)
     if (s < 0) return 0.0
     var w = 0.0
-    while (s >= 0) { w += biasIntArr(s).toDouble + decimalAt(s); s = nextSlotOf(s) }
+    while (s >= 0) { w += scaledIntBiasAt(s).toDouble + decimalAt(s); s = nextSlotOf(s) }
     w / totalMass
   }
 
@@ -192,34 +182,22 @@ final class BingoVertex(
     var p = 0.0
     var i = 0
     while (i < aliasGroupIds.length) {
-      val pg = interAlias.probabilityOf(i)
-      val gid = aliasGroupIds(i)
-      if (gid == DecimalGroupId) {
-        var j = 0
-        while (j < decLen) {
-          val slot = decList(j)
-          if (dstArr(slot) == dst) p += pg * decArr(slot) / decSum
-          j += 1
-        }
-      } else {
-        val g = groups(gid)
-        g.tpe match {
-          case GroupType.OneElement =>
-            if (dstArr(g.oneSlot) == dst) p += pg
-          case GroupType.Regular | GroupType.Sparse =>
-            var j = 0
-            var hits = 0
-            while (j < g.listLen) { if (dstArr(g.list(j)) == dst) hits += 1; j += 1 }
-            p += pg * hits.toDouble / g.count
-          case GroupType.Dense =>
-            val mask = 1L << gid
-            var j = 0
-            var hits = 0
-            while (j < d) { if (dstArr(j) == dst && (biasIntArr(j) & mask) != 0L) hits += 1; j += 1 }
-            p += pg * hits.toDouble / g.count
-          case _ =>
-        }
+      val k = aliasGroupIds(i)
+      val g = groups(k)
+      val mask = 1L << k
+      var mass = 0.0 // of the members of group k that hold dst
+      def add(slot: Int): Unit =
+        if (dstArr(slot) == dst) mass += (if (k == DecimalGroup) decArr(slot) else mask.toDouble)
+      g.tpe match {
+        case GroupType.OneElement => add(g.oneSlot)
+        case GroupType.Regular | GroupType.Sparse =>
+          var j = 0
+          while (j < g.listLen) { add(g.list(j)); j += 1 }
+        case GroupType.Dense =>
+          var j = 0
+          while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
       }
+      p += interAlias.probabilityOf(i) * mass / weight(k)
       i += 1
     }
     p
@@ -227,22 +205,21 @@ final class BingoVertex(
 
   def groupTypeOf(k: Int): Option[GroupType] = Option(groups(k)).map(_.tpe)
   def groupCountOf(k: Int): Int = { val g = groups(k); if (g == null) 0 else g.count }
-  def activeGroupBits: Seq[Int] = (0 to Radix.MaxBits).filter(groups(_) != null)
-  def decimalGroupSize: Int = decLen
+  /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
+  def activeGroupBits: Seq[Int] = (0 to DecimalGroup).filter(groups(_) != null)
 
   /** Retained bytes of the sampling structures (adjacency slots + groups +
-    * inverted indexes + decimal group + inter-group alias).
+    * inverted indexes + inter-group alias).
     */
   def memoryBytes: Long = {
     var m = slotBytes + biasIntArr.length.toLong * 8 // dst + index + scaled bias
     if (decArr != null) m += decArr.length.toLong * 8
     var k = 0
-    while (k <= Radix.MaxBits) {
+    while (k <= DecimalGroup) {
       val g = groups(k)
       if (g != null) m += g.memoryBytes
       k += 1
     }
-    m += decList.length.toLong * 4 + decInv.memoryBytes
     if (interAlias != null) m += interAlias.memoryBytes + aliasGroupIds.length.toLong * 4
     m
   }
@@ -251,7 +228,7 @@ final class BingoVertex(
   def validate(): Unit = {
     // group counts and memberships
     var k = 0
-    while (k <= Radix.MaxBits) {
+    while (k <= DecimalGroup) {
       val mask = 1L << k
       var expect = 0
       var i = 0
@@ -278,17 +255,19 @@ final class BingoVertex(
       }
       k += 1
     }
-    // decimal group
+    // the decimal bit marks exactly the slots with a decimal; its weight and bound
     var sum = 0.0
+    var max = 0.0
     var i = 0
-    while (i < decLen) {
-      val slot = decList(i)
-      require(decimalAt(slot) > 0.0, s"decimal member $slot has no decimal")
-      require(decInv.get(slot) == i, s"decimal inverted index wrong for $slot")
-      sum += decArr(slot)
+    while (i < d) {
+      val dec = decimalAt(i)
+      require((biasIntArr(i) < 0L) == (dec > 0.0), s"slot $i: decimal bit disagrees with decimal $dec")
+      sum += dec
+      max = math.max(max, dec)
       i += 1
     }
     require(math.abs(sum - decSum) < 1e-9, s"decSum drift: $sum vs $decSum")
+    require(max == decMax, s"decMax $decMax != largest decimal $max")
     validateSlots()
   }
 
@@ -306,6 +285,9 @@ final class BingoVertex(
     if (dec > 0.0) {
       if (decArr == null) decArr = new Array[Double](capacity)
       decArr(slot) = dec
+      biasIntArr(slot) |= DecimalBit
+      decSum += dec
+      decMax = math.max(decMax, dec)
     } else if (decArr != null) decArr(slot) = 0.0
     slot
   }
@@ -314,7 +296,7 @@ final class BingoVertex(
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
     var k = 0
-    while (k <= Radix.MaxBits) {
+    while (k <= DecimalGroup) {
       val g = groups(k)
       if (g != null && g.tpe == GroupType.Regular && g.inv != null) {
         val old = g.inv.length
@@ -347,8 +329,8 @@ final class BingoVertex(
     }
   }
 
-  /** Re-point the group and decimal references of a slot that moved
-    * oldSlot → newSlot, then move its bias columns.
+  /** Re-point the group references of a slot that moved oldSlot →
+    * newSlot, then move its bias columns.
     */
   protected def moveSlot(oldSlot: Int, newSlot: Int): Unit = {
     var rest = biasIntArr(oldSlot)
@@ -367,28 +349,24 @@ final class BingoVertex(
       }
       rest &= rest - 1
     }
-    if (decimalAt(oldSlot) > 0.0) {
-      val pos = decInv.remove(oldSlot)
-      decList(pos) = newSlot
-      decInv.put(newSlot, pos)
-    }
     biasIntArr(newSlot) = biasIntArr(oldSlot)
     if (decArr != null) decArr(newSlot) = decArr(oldSlot)
   }
 
   /** Delete phase of a batch (§5.2, Fig. 10b): take the `n` freed slots
-    * out of their radix groups and the decimal group, compact each list
-    * group's member list and then the slot arrays with
-    * [[SlotStore.twoPhaseCompact]].
+    * out of their groups, compact each list group's member list and then
+    * the slot arrays with [[SlotStore.twoPhaseCompact]].
     *
     * @return the bias bits of the freed slots, i.e. the groups touched
     */
   private def deleteSlots(freed: Array[Int], n: Int): Long = {
     var touched = 0L
     var listBits = 0L // Regular / Sparse groups that lose members
+    var maxGone = false // a freed decimal was decMax
     var i = 0
     while (i < n) {
       val slot = freed(i)
+      if (biasIntArr(slot) < 0L) { decSum -= decArr(slot); maxGone ||= decArr(slot) == decMax }
       var rest = biasIntArr(slot)
       touched |= rest
       while (rest != 0) {
@@ -406,7 +384,6 @@ final class BingoVertex(
         }
         rest &= rest - 1
       }
-      if (decimalAt(slot) > 0.0) decDelete(slot)
       i += 1
     }
     val doomed = new Array[Int](n)
@@ -432,6 +409,8 @@ final class BingoVertex(
       rest &= rest - 1
     }
     compactSlots(freed, n)
+    if (groups(DecimalGroup) == null) { decSum = 0.0; decMax = 0.0 } // no rounding drift once empty
+    else if (maxGone) decMax = java.util.Arrays.stream(decArr, 0, d).max().getAsDouble
     touched
   }
 
@@ -453,59 +432,31 @@ final class BingoVertex(
     }
   }
 
-  private def decInsert(slot: Int): Unit = {
-    if (decLen == decList.length) decList = java.util.Arrays.copyOf(decList, math.max(4, decLen * 2))
-    decList(decLen) = slot
-    decInv.put(slot, decLen)
-    decLen += 1
-    decSum += decArr(slot)
-    if (decArr(slot) > decMax) decMax = decArr(slot)
-  }
-
-  private def decDelete(slot: Int): Unit = {
-    val pos = decInv.remove(slot)
-    val lastPos = decLen - 1
-    val moved = decList(lastPos)
-    if (pos != lastPos) { decList(pos) = moved; decInv.put(moved, pos) }
-    decLen -= 1
-    val v = decArr(slot)
-    decSum -= v
-    if (decLen == 0) decSum = 0.0
-    if (v == decMax) recomputeDecMax()
-  }
-
-  private def recomputeDecMax(): Unit = {
-    decMax = 0.0
-    var i = 0
-    while (i < decLen) { val v = decArr(decList(i)); if (v > decMax) decMax = v; i += 1 }
-  }
+  /** Weight of active group `k`: |G_k|·2^k for a radix group (Eq. 4), the
+    * sum of the decimals for the decimal group (§4.3).
+    */
+  private def weight(k: Int): Double =
+    if (k == DecimalGroup) decSum else groups(k).count.toDouble * (1L << k).toDouble
 
   /** Rebuild the inter-group alias table over active group weights (Eq. 5). */
   private def rebuildInterAlias(): Unit = {
     var active = 0
     var k = 0
-    while (k <= Radix.MaxBits) { if (groups(k) != null) active += 1; k += 1 }
-    val hasDec = decLen > 0 && decSum > 0.0
-    if (active == 0 && !hasDec) { interAlias = null; aliasGroupIds = null; return }
-    val ids = new Array[Int](active + (if (hasDec) 1 else 0))
-    val ws = new Array[Double](ids.length)
+    while (k <= DecimalGroup) { if (groups(k) != null) active += 1; k += 1 }
+    if (active == 0) { interAlias = null; aliasGroupIds = null; return }
+    val ids = new Array[Int](active)
+    val ws = new Array[Double](active)
     var i = 0
     k = 0
-    while (k <= Radix.MaxBits) {
-      val g = groups(k)
-      if (g != null) {
-        ids(i) = k
-        ws(i) = g.count.toDouble * (1L << k).toDouble
-        i += 1
-      }
+    while (k <= DecimalGroup) {
+      if (groups(k) != null) { ids(i) = k; ws(i) = weight(k); i += 1 }
       k += 1
     }
-    if (hasDec) { ids(i) = DecimalGroupId; ws(i) = decSum }
     aliasGroupIds = ids
     interAlias = AliasTable(ws)
   }
 
-  /** The `count` slots whose bias has bit `k` set, in slot order: the scan
+  /** The `count` slots whose bias word has bit `k` set, in slot order: the scan
     * behind a group's representation rebuild.
     */
   private[core] def scanMembers(k: Int, count: Int): Array[Int] = {
@@ -525,10 +476,15 @@ final class BingoVertex(
 object BingoVertex {
   private val InitialCap = 4
 
-  /** Sentinel group id for the decimal group (float-bias mode, §4.3). */
-  val DecimalGroupId: Int = 64
+  /** Group id of the decimal group (float-bias mode, §4.3): bit 63, which
+    * no positive `Long` bias sets, marks its members.
+    */
+  val DecimalGroup: Int = 63
+  private val DecimalBit: Long = 1L << DecimalGroup
 
-  /** One radix group `p_k` with its adaptive representation (§5.1). */
+  /** One group — radix group `p_k` or the decimal group — with its
+    * adaptive representation (§5.1).
+    */
   private final class Group(val k: Int) extends Serializable {
     var count: Int = 0
     var tpe: GroupType = GroupType.Regular

@@ -13,10 +13,11 @@ package repro.core
   */
 object Radix {
 
-  /** Highest usable bit for a positive Long bias. */
-  val MaxBits: Int = 63
+  /** Highest bit a positive Long bias can set (bit 63 is the sign bit). */
+  val MaxBits: Int = 62
 
-  private val TwoPow63: Double = math.pow(2, 63)
+  /** The exclusive upper bound of a λ-scaled bias. */
+  val TwoPow63: Double = math.pow(2, 63)
 
   /** Bit positions set in `w` — the exponents of D(w) (Eq. 3). */
   def decompose(w: Long): Array[Int] = {

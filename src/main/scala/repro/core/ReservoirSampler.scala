@@ -29,21 +29,4 @@ object ReservoirSampler {
     }
     chosen
   }
-
-  /** Same over Long weights (integer biases). */
-  def sampleLong(weights: Array[Long], from: Int, until: Int, rng: SplittableRandom): Int = {
-    require(until > from, "empty range")
-    var chosen = -1
-    var cum = 0.0
-    var i = from
-    while (i < until) {
-      val w = weights(i).toDouble
-      if (w > 0.0) {
-        cum += w
-        if (rng.nextDouble() * cum < w) chosen = i
-      }
-      i += 1
-    }
-    chosen
-  }
 }

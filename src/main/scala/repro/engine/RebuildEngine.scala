@@ -38,9 +38,11 @@ abstract class RebuildEngine(val numVertices: Int) extends WalkEngine {
   def outDegree(v: Int): Int = adj(v).degree
   def hasEdge(u: Int, v: Int): Boolean = adj(u).contains(v)
 
+  /** The run's inserts, then its deletes, as `BingoVertex.applyBatch` does (§5.2). */
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = {
     val a = adj(src)
-    updates.foreach(u => if (u.insert) a.insert(u.dst, u.bias) else a.delete(u.dst))
+    updates.foreach(u => if (u.insert) a.insert(u.dst, u.bias))
+    updates.foreach(u => if (!u.insert) a.delete(u.dst))
   }
 
   /** The from-scratch per-round reconstruction of this slice's vertices. */

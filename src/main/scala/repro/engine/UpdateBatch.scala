@@ -1,6 +1,7 @@
 package repro.engine
 
 import scala.collection.immutable.ArraySeq
+import repro.core.Radix
 import repro.graph.{Edge, Update}
 
 /** Graph updates as primitive columns: the one form in which snapshot
@@ -9,7 +10,8 @@ import repro.graph.{Edge, Update}
   * timestamp order, so each vertex's updates form one run of the columns,
   * in `ts` order with ties kept in listed order; runs ascend by `src`.
   * Every entry is checked before any vertex changes: `src` and `dst` name
-  * vertices of the engine, and an insert's bias is positive and finite.
+  * vertices of the engine, and an insert's bias is positive, finite and
+  * below 2^63 (the range of Bingo's radix bias word).
   */
 final class UpdateBatch private (val size: Int) extends Serializable {
   private[engine] val ts = new Array[Long](size)
@@ -52,6 +54,7 @@ final class UpdateBatch private (val size: Int) extends Serializable {
       require(src(i) < n && dst(i) < n, s"${label(i)} names a vertex outside the engine's $n vertices")
       val finite = bias(i) > 0.0 && bias(i) <= Double.MaxValue
       require(!insert(i) || finite, s"${label(i)} has a bias that is not positive and finite")
+      require(!insert(i) || bias(i) < Radix.TwoPow63, s"${label(i)} has a bias of 2^63 or more")
       next(key(i) + 1) += 1
     }
     for (k <- 1 to p * q) next(k) += next(k - 1)

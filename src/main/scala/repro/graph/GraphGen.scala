@@ -33,9 +33,7 @@ object GraphGen {
       maxDegree: Int,
       dstSkew: Double,
       seed: Long,
-  ) {
-    def avgDegreeTarget: Double = targetEdges.toDouble / nVertices
-  }
+  )
 
   /** Paper Table 2, scaled: Amazon, Google, Citation, LiveJournal, Twitter. */
   val AM: DatasetSpec = DatasetSpec("AM", "Amazon-lite", 4000, 34000, 10, 1.2, 11L)
@@ -44,7 +42,6 @@ object GraphGen {
   val LJ: DatasetSpec = DatasetSpec("LJ", "LiveJournal-lite", 24000, 343000, 2500, 2.0, 14L)
   val TW: DatasetSpec = DatasetSpec("TW", "Twitter-lite", 20000, 700000, 12000, 2.5, 15L)
   val All: Seq[DatasetSpec] = Seq(AM, GO, CT, LJ, TW)
-  def byAbbr(a: String): DatasetSpec = All.find(_.abbr == a).getOrElse(sys.error(s"unknown dataset $a"))
 
   /** A generated graph: deduplicated directed edges with degree biases. */
   final case class GeneratedGraph(spec: DatasetSpec, edges: Vector[Edge]) {
@@ -115,18 +112,6 @@ object GraphGen {
   def withFloatBias(g: GeneratedGraph, seed: Long = 99L): GeneratedGraph = {
     val rnd = new Random(seed)
     g.copy(edges = g.edges.map(e => e.copy(bias = e.bias + rnd.nextDouble())))
-  }
-
-  /** Alternative bias distributions (paper Fig. 15c): Uniform / Exponential. */
-  def withUniformBias(g: GeneratedGraph, maxBias: Int = 64, seed: Long = 98L): GeneratedGraph = {
-    val rnd = new Random(seed)
-    g.copy(edges = g.edges.map(e => e.copy(bias = (rnd.nextInt(maxBias) + 1).toDouble)))
-  }
-  def withExponentialBias(g: GeneratedGraph, scale: Double = 8.0, seed: Long = 97L): GeneratedGraph = {
-    val rnd = new Random(seed)
-    g.copy(edges =
-      g.edges.map(e => e.copy(bias = math.max(1.0, math.round(-scale * math.log(rnd.nextDouble())).toDouble)))
-    )
   }
 
   /** Small hand-rolled graph for unit tests (the paper's running example,

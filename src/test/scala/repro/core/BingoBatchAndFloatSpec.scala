@@ -106,6 +106,62 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  /** `validate`, Eq. 7 against Eq. 2 at every dst, and drawn frequencies. */
+  private def assertExact(v: BingoVertex, seed: Long): Unit = {
+    v.validate()
+    val dsts = (0 until v.degree).map(v.dstAt).distinct
+    dsts.foreach(x => StatCheck.assertProbEqual(v.structProbabilityOf(x), v.expectedProbabilityOf(x), 1e-9))
+    if (dsts.nonEmpty)
+      StatCheck.assertMatches(dsts.map(x => x -> v.expectedProbabilityOf(x)).toMap, 200000, seed, tol = 0.02)(v.sample)
+  }
+
+  for (lambda <- Seq(1.0, 10.0); seed <- 0 until 8) {
+    test(s"two-phase stress: random batch deletions with decimals λ=$lambda seed=$seed") {
+      val rnd = new Random(700 + seed)
+      val n = 40 + rnd.nextInt(60)
+      // every bias has a decimal part, and about half are below 1: at λ = 1
+      // those slots sit in the decimal group only
+      val ns = (0 until n).map(i => (i, rnd.nextInt(2) * (1 + rnd.nextInt(15)) + 0.001 + rnd.nextDouble()))
+      val v = new BingoVertex(lambda = lambda)
+      Batch(v, ns, Seq.empty)
+      val decimals = v.groupCountOf(BingoVertex.DecimalGroup)
+      val dels = rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1))
+      Batch(v, Seq.empty, dels)
+      assertExact(v, seed)
+      assert(v.degree == n - dels.size)
+      assert(decimals == n && v.groupCountOf(BingoVertex.DecimalGroup) == n - dels.size)
+      val live = ns.filterNot(x => dels.contains(x._1))
+      val tot = live.map(_._2 * lambda).sum
+      live.foreach { case (d, b) => StatCheck.assertProbEqual(v.expectedProbabilityOf(d), b * lambda / tot, 1e-9) }
+    }
+  }
+
+  test("a Dense decimal group: rejection on the slots, then on the decimal") {
+    val rnd = new Random(81)
+    // 12 of 20 slots carry a decimal (> 40%), some of them with no integer part
+    val ns = (0 until 20).map(i => (i, if (i < 12) i % 3 + 0.05 + 0.9 * rnd.nextDouble() else (i + 1).toDouble))
+    val v = BingoVertex.build(ns)
+    assert(v.groupTypeOf(BingoVertex.DecimalGroup).contains(GroupType.Dense))
+    assertExact(v, 82)
+    // one batch deletes most decimal members: the group converts and stays exact
+    Batch(v, Seq((20, 3.25)), Seq(0, 2, 3, 5, 7, 8, 9, 11))
+    assert(v.groupCountOf(BingoVertex.DecimalGroup) == 5)
+    assert(!v.groupTypeOf(BingoVertex.DecimalGroup).contains(GroupType.Dense))
+    assertExact(v, 83)
+  }
+
+  test("a One-element decimal group, grown and emptied") {
+    val v = BingoVertex.build((0 until 10).map(i => (i, (i + 1).toDouble)) :+ ((10, 2.75)))
+    assert(v.groupTypeOf(BingoVertex.DecimalGroup).contains(GroupType.OneElement))
+    assertExact(v, 84)
+    v.insert(11, 0.4)
+    assert(v.groupCountOf(BingoVertex.DecimalGroup) == 2)
+    assertExact(v, 85)
+    assert(v.delete(10) && v.delete(11))
+    assert(v.groupTypeOf(BingoVertex.DecimalGroup).isEmpty)
+    assertExact(v, 86)
+  }
+
   // ---------------- floating-point biases (§4.3) ----------------
 
   test("paper Fig. 7: λ=10 on biases 0.554/0.726/0.320") {
@@ -118,7 +174,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.groupCountOf(0) == 3) // 5,7,3 all odd
     assert(v.groupCountOf(1) == 2) // 7 and 3
     assert(v.groupCountOf(2) == 2) // 5 and 7
-    assert(v.decimalGroupSize == 3) // decimals .54, .26, .20
+    assert(v.groupCountOf(BingoVertex.DecimalGroup) == 3) // decimals .54, .26, .20
     val tot = 5.54 + 7.26 + 3.20
     assert(v.expectedProbabilityOf(1) === 5.54 / tot +- 1e-9)
     assert(v.structProbabilityOf(1) === 5.54 / tot +- 1e-9)
@@ -141,7 +197,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     v.validate()
     val tot = 5.54 + 3.20
     assert(v.structProbabilityOf(1) === 5.54 / tot +- 1e-9)
-    assert(v.decimalGroupSize == 2)
+    assert(v.groupCountOf(BingoVertex.DecimalGroup) == 2)
   }
 
   test("float: batch updates with decimals") {
@@ -160,7 +216,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   test("float: integer-valued doubles with λ=1 have empty decimal group") {
     val v = new BingoVertex(lambda = 1.0)
     v.insert(1, 5.0); v.insert(2, 4.0)
-    assert(v.decimalGroupSize == 0)
+    assert(v.groupCountOf(BingoVertex.DecimalGroup) == 0)
     v.validate()
   }
 

@@ -121,12 +121,6 @@ class ClassicSamplersSpec extends AnyFunSuite with Tolerance {
     (1 to 500).foreach(_ => assert(ReservoirSampler.sample(ws, 0, 3, rng) == 1))
   }
 
-  test("reservoir: long variant matches double variant distribution") {
-    val wl = Array(5L, 4L, 3L)
-    val exp = Map(0 -> 5.0 / 12, 1 -> 4.0 / 12, 2 -> 3.0 / 12)
-    StatCheck.assertMatches(exp, 150000, seed = 18, tol = 0.01)(r => ReservoirSampler.sampleLong(wl, 0, 3, r))
-  }
-
   test("reservoir: empty range rejected") {
     intercept[IllegalArgumentException](ReservoirSampler.sample(Array(1.0), 1, 1, new SplittableRandom(1)))
   }

@@ -66,7 +66,8 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       Edge(0, -2, 1.0) -> "has a negative dst",
       Edge(3, 0, 1.0) -> "names a vertex outside the engine's 3 vertices",
       Edge(0, 3, 1.0) -> "names a vertex outside the engine's 3 vertices",
-    ) ++ Seq(0.0, -2.0, Double.NaN, Double.PositiveInfinity).map(w => Edge(0, 2, w) -> badBias)
+    ) ++ Seq(0.0, -2.0, Double.NaN, Double.PositiveInfinity).map(w => Edge(0, 2, w) -> badBias) :+
+      Edge(0, 2, 1e19) -> "has a bias of 2^63 or more"
     for ((f, tag) <- factories; (e, msg) <- bad) {
       val ex = intercept[IllegalArgumentException](f.build(3, Seq(Edge(0, 1, 1.0), e)))
       assert(ex.getMessage.contains(s"snapshot edge $e $msg"), s"$tag: ${ex.getMessage}")

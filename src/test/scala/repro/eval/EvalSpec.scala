@@ -96,7 +96,8 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
   }
 
   // Also checks every engine, applyRoundLocal (same exception and message)
-  // and insert biases that are not positive and finite.
+  // and insert biases that are not positive and finite or reach 2^63 (which
+  // Bingo's radix bias word cannot hold).
   test("applyRoundSpark rejects a negative dst and an out-of-range src or dst before running any task") {
     val ok = Update(1, insert = true, 0, 2, 1.0)
     val badBias = "has a bias that is not positive and finite"
@@ -106,7 +107,8 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       Update(2, insert = true, 4, 2, 1.0) -> "outside the engine's 4 vertices",
       Update(2, insert = false, 1, 4, 0.0) -> "outside the engine's 4 vertices",
     ) ++ Seq(0.0, -3.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
-      .map(w => Update(2, insert = true, 1, 3, w) -> badBias)
+      .map(w => Update(2, insert = true, 1, 3, w) -> badBias) ++
+      Seq(1e19, math.pow(2, 63)).map(w => Update(2, insert = true, 0, 3, w) -> "has a bias of 2^63 or more")
     for (f <- Tables.frameworks) {
       val eng = f.build(4, Seq(Edge(0, 1, 1.0)))
       GraphStore.register("eval-spec-range", eng)
@@ -120,7 +122,7 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
         // no update in any rejected batch was applied, on either path
         assert((0 until 4).map(eng.outDegree) == Seq(1, 0, 0, 0), f.name)
         assert(eng.exactDistribution(0) == Map(1 -> 1.0), f.name)
-        assert(!eng.hasEdge(0, 2) && !eng.hasEdge(1, 3), f.name)
+        assert(!eng.hasEdge(0, 2) && !eng.hasEdge(0, 3) && !eng.hasEdge(1, 3), f.name)
         // a delete's bias is not read, so it is not checked
         eng.applyRoundLocal(Seq(Update(3, insert = false, 0, 1, Double.NaN)))
         assert(eng.outDegree(0) == 0, f.name)

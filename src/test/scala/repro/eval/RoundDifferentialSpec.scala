@@ -10,17 +10,15 @@ import repro.graph.{Edge, Update}
 /** Seeded differential test of whole update rounds. Every engine runs the
   * same random rounds through `applyRoundLocal` and through
   * `applyRoundSpark`, and after every round each copy is compared with a
-  * reference that keeps, per (src, dst), a queue of biases in `ts` order,
-  * where a delete pops the earliest.
+  * reference that keeps, per (src, dst), a queue of biases in `ts` order.
+  * Like every engine (paper §5.2), the reference applies a round's inserts
+  * first, then its deletes, each of which pops the earliest bias.
   *
   * The rounds list their updates out of `ts` order (with ties), insert
-  * duplicate (src, dst) pairs with different biases, insert and delete the
-  * same edge within a round, delete absent edges, and drain vertices to
-  * empty before later rounds refill them. One case is left out: an insert
-  * after an ignored delete of the same absent edge in the same round. There
-  * Bingo's per-vertex batch (all inserts, then all deletes, paper §5.2)
-  * removes the edge, while the baselines, which replay a vertex's updates
-  * in `ts` order, keep it.
+  * duplicate (src, dst) pairs with different biases (some with a decimal
+  * part), insert and delete the same edge within a round, delete absent
+  * edges, delete an absent edge that a later update of the round inserts,
+  * and drain vertices to empty before later rounds refill them.
   */
 class RoundDifferentialSpec extends AnyFunSuite with SparkSpec {
 
@@ -38,12 +36,18 @@ class RoundDifferentialSpec extends AnyFunSuite with SparkSpec {
     val live = mutable.Map[(Int, Int), mutable.Queue[Double]]()
     initial.foreach(e => live.getOrElseUpdate((e.src, e.dst), mutable.Queue()) += e.bias)
 
-    /** Apply one update; false for a delete of an absent edge. */
-    def apply(u: Update): Boolean = {
-      val q = live.getOrElseUpdate((u.src, u.dst), mutable.Queue())
-      if (u.insert) { q += u.bias; true }
-      else if (q.isEmpty) false
-      else { q.dequeue(); true }
+    /** Apply a round given in `ts` order: its inserts, then its deletes.
+      * Returns the number of deletes that found no edge.
+      */
+    def applyRound(inTsOrder: Seq[Update]): Int = {
+      val (inserts, deletes) = inTsOrder.partition(_.insert)
+      inserts.foreach(u => live.getOrElseUpdate((u.src, u.dst), mutable.Queue()) += u.bias)
+      deletes.count { u =>
+        val q = live.getOrElseUpdate((u.src, u.dst), mutable.Queue())
+        val found = q.nonEmpty
+        if (found) q.dequeue()
+        !found
+      }
     }
     def biases(u: Int, v: Int): Seq[Double] = live.get((u, v)).fold(Seq.empty[Double])(_.toSeq)
     def degree(u: Int): Int = (0 until n).map(biases(u, _).size).sum
@@ -55,38 +59,44 @@ class RoundDifferentialSpec extends AnyFunSuite with SparkSpec {
 
   /** What the generated rounds covered, so the test cannot silently stop covering it. */
   private final class Coverage {
-    var duplicateBiases, sameRoundInsertDelete, absentDeletes, refills, unsortedRounds, ties = 0
+    var duplicateBiases, sameRoundInsertDelete, absentDeletes, insertAfterAbsentDelete, refills, unsortedRounds, ties = 0
   }
 
   private def bias(rnd: Random): Double =
     if (rnd.nextInt(4) == 0) rnd.nextInt(6) + 0.5 else (rnd.nextInt(30) + 1).toDouble
 
-  /** One round of `size` updates starting at `ts0`. Timestamps rise by 0 or
-    * 1 per update; the updates are generated in `ts` order (ties in listed
-    * order) against `ref`, which they advance, and listed shuffled unless
-    * `sorted`. Vertex `drain`, if any, gets only deletes.
+  /** One round of `size` updates starting at `ts0`, applied to `ref`.
+    * Timestamps rise by 0 or 1 per update; the updates are generated in
+    * `ts` order (ties in listed order), mostly deleting edges live at that
+    * point, and listed shuffled unless `sorted`. Vertex `drain`, if any,
+    * gets only deletes.
     */
   private def round(rnd: Random, ref: Reference, cov: Coverage, ts0: Long, size: Int, sorted: Boolean, drain: Int) = {
     val ts = (1 until size).scanLeft(ts0)((t, _) => t + rnd.nextInt(2)).toArray
     val listing = if (sorted) (0 until size).toArray else rnd.shuffle((0 until size).toVector).toArray
     val ups = new Array[Update](size)
-    val absent = mutable.Set[(Int, Int)]() // deleted while absent: no insert after that
+    // live copies per (src, dst) as of the update being generated
+    val live = mutable.Map[(Int, Int), Int]().withDefault(e => ref.biases(e._1, e._2).size)
+    val absent = mutable.Set[(Int, Int)]() // deleted while absent earlier in the round
     val inserted = mutable.Set[(Int, Int)]()
     for (k <- listing.sortBy(ts(_))) {
       val u = if (drain >= 0 && rnd.nextBoolean()) drain else rnd.nextInt(n)
-      val livesOf = (0 until n).filter(ref.biases(u, _).nonEmpty)
+      val livesOf = (0 until n).filter(v => live((u, v)) > 0)
       val v = rnd.nextInt(n)
       val up =
-        if (u != drain && !absent((u, v)) && rnd.nextDouble() < 0.5) Update(ts(k), insert = true, u, v, bias(rnd))
+        if (u != drain && rnd.nextDouble() < 0.5) Update(ts(k), insert = true, u, v, bias(rnd))
         else if (livesOf.nonEmpty && rnd.nextDouble() < 0.85) Update(ts(k), insert = false, u, livesOf(rnd.nextInt(livesOf.size)), 0.0)
         else Update(ts(k), insert = false, u, v, 0.0)
-      val before = ref.biases(up.src, up.dst)
-      if (up.insert && before.exists(_ != up.bias)) cov.duplicateBiases += 1
-      if (!up.insert && inserted((up.src, up.dst))) cov.sameRoundInsertDelete += 1
-      if (up.insert) inserted += ((up.src, up.dst))
-      if (!ref(up)) { absent += ((up.src, up.dst)); cov.absentDeletes += 1 }
+      val e = (up.src, up.dst)
+      if (up.insert && ref.biases(up.src, up.dst).exists(_ != up.bias)) cov.duplicateBiases += 1
+      if (up.insert && absent(e)) cov.insertAfterAbsentDelete += 1
+      if (!up.insert && inserted(e)) cov.sameRoundInsertDelete += 1
+      if (up.insert) { inserted += e; live(e) += 1 }
+      else if (live(e) > 0) live(e) -= 1
+      else absent += e
       ups(k) = up
     }
+    cov.absentDeletes += ref.applyRound(listing.sortBy(ts(_)).toSeq.map(ups))
     if (!sorted && !listing.sameElements(listing.sorted)) cov.unsortedRounds += 1
     cov.ties += ts.length - ts.distinct.length
     listing.toSeq.map(ups)
@@ -129,10 +139,11 @@ class RoundDifferentialSpec extends AnyFunSuite with SparkSpec {
     }
     info(
       s"duplicate biases ${cov.duplicateBiases}, insert+delete in one round ${cov.sameRoundInsertDelete}, " +
-        s"absent deletes ${cov.absentDeletes}, refills ${cov.refills}, " +
-        s"unsorted rounds ${cov.unsortedRounds}, ties ${cov.ties}"
+        s"absent deletes ${cov.absentDeletes}, insert after an absent delete ${cov.insertAfterAbsentDelete}, " +
+        s"refills ${cov.refills}, unsorted rounds ${cov.unsortedRounds}, ties ${cov.ties}"
     )
     assert(cov.duplicateBiases > 0 && cov.sameRoundInsertDelete > 0 && cov.absentDeletes > 0)
+    assert(cov.insertAfterAbsentDelete > 0)
     assert(cov.refills > 0 && cov.unsortedRounds > 0 && cov.ties > 0)
   }
 }

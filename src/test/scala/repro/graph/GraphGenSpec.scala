@@ -97,16 +97,10 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
   test("bias variants preserve edge structure") {
     val g = graphs("AM")
     val f = GraphGen.withFloatBias(g)
-    val u = GraphGen.withUniformBias(g)
-    val x = GraphGen.withExponentialBias(g)
     assert(f.edges.map(e => (e.src, e.dst)) == g.edges.map(e => (e.src, e.dst)))
-    assert(u.edges.map(e => (e.src, e.dst)) == g.edges.map(e => (e.src, e.dst)))
-    assert(x.edges.map(e => (e.src, e.dst)) == g.edges.map(e => (e.src, e.dst)))
     f.edges.zip(g.edges).foreach { case (fe, ge) =>
       assert(fe.bias >= ge.bias && fe.bias < ge.bias + 1.0)
     }
-    u.edges.foreach(e => assert(e.bias >= 1.0 && e.bias <= 64.0))
-    x.edges.foreach(e => assert(e.bias >= 1.0))
   }
 
   test("running example matches paper Fig. 1/4") {
