@@ -20,8 +20,6 @@ import java.util.SplittableRandom
 final class AliasTable private (
     private val prob: Array[Double],
     private val alias: Array[Int],
-    /** Sum of the input weights. */
-    val totalWeight: Double,
 ) extends Serializable {
 
   /** Number of candidates. */
@@ -105,8 +103,6 @@ object AliasTable {
     }
     while (nLarge > 0) { nLarge -= 1; val l = large(nLarge); prob(l) = 1.0; alias(l) = l }
     while (nSmall > 0) { nSmall -= 1; val s = small(nSmall); prob(s) = 1.0; alias(s) = s }
-    new AliasTable(prob, alias, total)
+    new AliasTable(prob, alias)
   }
-
-  def apply(weights: Array[Long]): AliasTable = apply(weights.map(_.toDouble))
 }

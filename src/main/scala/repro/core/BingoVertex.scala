@@ -11,10 +11,11 @@ import java.util.SplittableRandom
   * The decimal remainders of float biases (§4.3) form one more group,
   * [[BingoVertex.DecimalGroup]] = 63, weighted by their sum: a positive
   * `Long` never sets bit 63, so that bit of a slot's bias word marks "has a
-  * decimal" and the word is the slot's full group mask. Sampling is
-  * hierarchical (§4.1): an inter-group alias table picks a group in O(1),
-  * then uniform intra-group sampling picks a slot in O(1); in the decimal
-  * group the pick is accepted with probability `dec/max dec`.
+  * decimal" and the word is the slot's full group mask. Only the non-empty
+  * groups are stored, in ascending id. Sampling is hierarchical (§4.1): an
+  * inter-group alias table over those groups picks one in O(1), then
+  * uniform intra-group sampling picks a slot in O(1); in the decimal group
+  * the pick is accepted with probability `dec/max dec`.
   * Every update goes through the paper's per-vertex insert → delete →
   * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
   * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs
@@ -42,13 +43,13 @@ final class BingoVertex(
   private var decArr: Array[Double] = null // decimal remainders; allocated on demand
 
   // ---- Groups: radix groups 0..62, the decimal group 63 -----------------
-  private val groups = new Array[Group](DecimalGroup + 1)
+  // Only the non-empty groups are kept, in ascending id: bit k of `active` is
+  // set iff group k is non-empty, and entry i of `interAlias` is groups(i).
+  private var groups: Array[Group] = NoGroups
+  private var active = 0L
+  private var interAlias: AliasTable = null
   private var decSum = 0.0 // weight of the decimal group
   private var decMax = 0.0 // largest decimal: its rejection bound
-
-  // ---- Inter-group sampling space ---------------------------------------
-  private var interAlias: AliasTable = null
-  private var aliasGroupIds: Array[Int] = null // group id of each alias entry
 
   // =======================================================================
   // Public API
@@ -58,12 +59,7 @@ final class BingoVertex(
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
 
   /** Total λ-scaled mass Σ(int + dec) — the sampling normaliser. */
-  def totalMass: Double = {
-    var m = 0.0
-    var k = 0
-    while (k <= DecimalGroup) { if (groups(k) != null) m += weight(k); k += 1 }
-    m
-  }
+  def totalMass: Double = groups.iterator.map(weight).sum
 
   /** Streaming insertion (§4.2, Fig. 5): a batch of one. O(K). */
   def insert(dst: Int, bias: Double): Unit = applyBatch(Array(dst), Array(bias), Array(true), 0, 1)
@@ -142,11 +138,10 @@ final class BingoVertex(
 
   private def sampleSlot(rng: SplittableRandom): Int = {
     if (interAlias == null) return -1
-    val gid = aliasGroupIds(interAlias.sample(rng))
-    val g = groups(gid)
+    val g = groups(interAlias.sample(rng))
     var slot = pick(g, rng)
     // a decimal member is kept with probability dec/decMax, so P = dec/decSum
-    if (gid == DecimalGroup) while (rng.nextDouble() * decMax >= decArr(slot)) slot = pick(g, rng)
+    if (g.k == DecimalGroup) while (rng.nextDouble() * decMax >= decArr(slot)) slot = pick(g, rng)
     slot
   }
 
@@ -178,12 +173,11 @@ final class BingoVertex(
     * Theorem 4.1 this must equal [[expectedProbabilityOf]] exactly.
     */
   def structProbabilityOf(dst: Int): Double = {
-    if (interAlias == null) return 0.0
     var p = 0.0
     var i = 0
-    while (i < aliasGroupIds.length) {
-      val k = aliasGroupIds(i)
-      val g = groups(k)
+    while (i < groups.length) {
+      val g = groups(i)
+      val k = g.k
       val mask = 1L << k
       var mass = 0.0 // of the members of group k that hold dst
       def add(slot: Int): Unit =
@@ -197,45 +191,45 @@ final class BingoVertex(
           var j = 0
           while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
       }
-      p += interAlias.probabilityOf(i) * mass / weight(k)
+      p += interAlias.probabilityOf(i) * mass / weight(g)
       i += 1
     }
     p
   }
 
-  def groupTypeOf(k: Int): Option[GroupType] = Option(groups(k)).map(_.tpe)
-  def groupCountOf(k: Int): Int = { val g = groups(k); if (g == null) 0 else g.count }
+  def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(group(k).tpe) else None
+  def groupCountOf(k: Int): Int = if (isActive(k)) group(k).count else 0
   /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
-  def activeGroupBits: Seq[Int] = (0 to DecimalGroup).filter(groups(_) != null)
+  def activeGroupBits: Seq[Int] = groups.map(_.k).toSeq
 
   /** Retained bytes of the sampling structures (adjacency slots + groups +
     * inverted indexes + inter-group alias).
     */
   def memoryBytes: Long = {
-    var m = slotBytes + biasIntArr.length.toLong * 8 // dst + index + scaled bias
+    // dst + index, scaled bias, group references
+    var m = slotBytes + biasIntArr.length.toLong * 8 + groups.length.toLong * 4
     if (decArr != null) m += decArr.length.toLong * 8
-    var k = 0
-    while (k <= DecimalGroup) {
-      val g = groups(k)
-      if (g != null) m += g.memoryBytes
-      k += 1
-    }
-    if (interAlias != null) m += interAlias.memoryBytes + aliasGroupIds.length.toLong * 4
+    var i = 0
+    while (i < groups.length) { m += groups(i).memoryBytes; i += 1 }
+    if (interAlias != null) m += interAlias.memoryBytes
     m
   }
 
   /** Fail-fast structural invariant check (test support). */
   def validate(): Unit = {
-    // group counts and memberships
+    // the stored groups are the active ones, in ascending id
+    val ids = activeGroupBits
+    require(ids == (0 to DecimalGroup).filter(isActive), s"groups $ids vs active ${active.toBinaryString}")
+    // group counts and memberships, over all 64 ids
     var k = 0
     while (k <= DecimalGroup) {
       val mask = 1L << k
       var expect = 0
       var i = 0
       while (i < d) { if ((biasIntArr(i) & mask) != 0L) expect += 1; i += 1 }
-      val g = groups(k)
+      val g = if (isActive(k)) group(k) else null
       val got = if (g == null) 0 else g.count
-      require(got == expect, s"group $k count $got != expected $expect")
+      require(got == expect && (g == null || got > 0), s"group $k count $got != expected $expect")
       if (g != null) {
         g.tpe match {
           case GroupType.OneElement =>
@@ -250,7 +244,6 @@ final class BingoVertex(
               j += 1
             }
           case GroupType.Dense => // nothing stored
-          case _ =>
         }
       }
       k += 1
@@ -295,39 +288,56 @@ final class BingoVertex(
   protected def growColumns(cap: Int): Unit = {
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
-    var k = 0
-    while (k <= DecimalGroup) {
-      val g = groups(k)
-      if (g != null && g.tpe == GroupType.Regular && g.inv != null) {
+    groups.foreach { g =>
+      if (g.tpe == GroupType.Regular) {
         val old = g.inv.length
         g.inv = java.util.Arrays.copyOf(g.inv, cap)
         java.util.Arrays.fill(g.inv, old, cap, -1)
       }
-      k += 1
     }
   }
 
-  /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
-  private def groupInsert(k: Int, slot: Int): Unit = {
-    var g = groups(k)
-    if (g == null) {
-      g = new Group(k)
-      groups(k) = g
-      g.count = 1
-      g.tpe = GroupType.classify(1, d, adaptive)
-      g.initRepr(this)
-      g.reprAdd(this, slot)
-      return
-    }
-    touch(g.tpe)
-    g.count += 1
-    g.tpe match {
-      case GroupType.Dense => // nothing maintained
-      case GroupType.OneElement => g.dirty = true // cannot absorb a 2nd member
-      case GroupType.Regular | GroupType.Sparse => g.reprAdd(this, slot)
-      case _ =>
-    }
+  private def isActive(k: Int): Boolean = (active >>> k & 1L) != 0L
+  /** Index of active group `k` in `groups`, and so in `interAlias`. */
+  private def indexOf(k: Int): Int = java.lang.Long.bitCount(active & ((1L << k) - 1))
+  private def group(k: Int): Group = groups(indexOf(k))
+
+  /** Group `k`'s birth with its first member `slot`: a new entry, in id order. O(K). */
+  private def addGroup(k: Int, slot: Int): Unit = {
+    val g = new Group(k)
+    g.count = 1
+    g.tpe = GroupType.classify(1, d, adaptive)
+    g.initRepr(this)
+    g.reprAdd(this, slot)
+    val i = indexOf(k)
+    val a = java.util.Arrays.copyOf(groups, groups.length + 1)
+    System.arraycopy(groups, i, a, i + 1, groups.length - i)
+    a(i) = g
+    groups = a
+    active |= 1L << k
   }
+
+  /** Group `k`'s death: its entry goes. O(K). */
+  private def removeGroup(k: Int): Unit = {
+    val i = indexOf(k)
+    System.arraycopy(groups, i + 1, groups, i, groups.length - i - 1)
+    groups = java.util.Arrays.copyOf(groups, groups.length - 1)
+    active &= ~(1L << k)
+  }
+
+  /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
+  private def groupInsert(k: Int, slot: Int): Unit =
+    if (!isActive(k)) addGroup(k, slot)
+    else {
+      val g = group(k)
+      touch(g.tpe)
+      g.count += 1
+      g.tpe match {
+        case GroupType.Dense => // nothing maintained
+        case GroupType.OneElement => g.dirty = true // cannot absorb a 2nd member
+        case GroupType.Regular | GroupType.Sparse => g.reprAdd(this, slot)
+      }
+    }
 
   /** Re-point the group references of a slot that moved oldSlot →
     * newSlot, then move its bias columns.
@@ -335,8 +345,7 @@ final class BingoVertex(
   protected def moveSlot(oldSlot: Int, newSlot: Int): Unit = {
     var rest = biasIntArr(oldSlot)
     while (rest != 0) {
-      val k = java.lang.Long.numberOfTrailingZeros(rest)
-      val g = groups(k)
+      val g = group(java.lang.Long.numberOfTrailingZeros(rest))
       g.tpe match {
         case GroupType.Dense => // positions not stored
         case GroupType.OneElement => g.oneSlot = newSlot
@@ -345,7 +354,6 @@ final class BingoVertex(
           g.list(pos) = newSlot
           g.clearPos(oldSlot)
           g.setPos(newSlot, pos)
-        case _ =>
       }
       rest &= rest - 1
     }
@@ -371,15 +379,15 @@ final class BingoVertex(
       touched |= rest
       while (rest != 0) {
         val k = java.lang.Long.numberOfTrailingZeros(rest)
-        val g = groups(k)
+        val g = group(k)
         touch(g.tpe)
         g.tpe match {
           case GroupType.Dense =>
             g.count -= 1
-            if (g.count == 0) groups(k) = null
+            if (g.count == 0) removeGroup(k)
           case GroupType.OneElement =>
             g.count -= 1
-            if (g.count == 0) groups(k) = null else g.dirty = true
+            if (g.count == 0) removeGroup(k) else g.dirty = true
           case _ => listBits |= 1L << k
         }
         rest &= rest - 1
@@ -390,7 +398,7 @@ final class BingoVertex(
     var rest = listBits
     while (rest != 0) {
       val k = java.lang.Long.numberOfTrailingZeros(rest)
-      val g = groups(k)
+      val g = group(k)
       val mask = 1L << k
       var m = 0
       i = 0
@@ -405,11 +413,11 @@ final class BingoVertex(
         g.setPos(list(to), to)
       }
       g.count -= m
-      if (g.count == 0) groups(k) = null
+      if (g.count == 0) removeGroup(k)
       rest &= rest - 1
     }
     compactSlots(freed, n)
-    if (groups(DecimalGroup) == null) { decSum = 0.0; decMax = 0.0 } // no rounding drift once empty
+    if ((active & DecimalBit) == 0L) { decSum = 0.0; decMax = 0.0 } // no rounding drift once empty
     else if (maxGone) decMax = java.util.Arrays.stream(decArr, 0, d).max().getAsDouble
     touched
   }
@@ -418,8 +426,8 @@ final class BingoVertex(
     * (recorded as a conversion, paper Table 4).
     */
   private def reclassify(k: Int): Unit = {
-    val g = groups(k)
-    if (g == null) return
+    if (!isActive(k)) return
+    val g = group(k)
     val target = GroupType.classify(g.count, d, adaptive)
     if (target != g.tpe) {
       if (conversions != null) conversions.recordConversion(g.tpe, target)
@@ -432,27 +440,18 @@ final class BingoVertex(
     }
   }
 
-  /** Weight of active group `k`: |G_k|·2^k for a radix group (Eq. 4), the
+  /** Weight of active group `g`: |G_k|·2^k for a radix group (Eq. 4), the
     * sum of the decimals for the decimal group (§4.3).
     */
-  private def weight(k: Int): Double =
-    if (k == DecimalGroup) decSum else groups(k).count.toDouble * (1L << k).toDouble
+  private def weight(g: Group): Double =
+    if (g.k == DecimalGroup) decSum else g.count.toDouble * (1L << g.k).toDouble
 
-  /** Rebuild the inter-group alias table over active group weights (Eq. 5). */
+  /** Rebuild the inter-group alias table over the active groups' weights (Eq. 5). */
   private def rebuildInterAlias(): Unit = {
-    var active = 0
-    var k = 0
-    while (k <= DecimalGroup) { if (groups(k) != null) active += 1; k += 1 }
-    if (active == 0) { interAlias = null; aliasGroupIds = null; return }
-    val ids = new Array[Int](active)
-    val ws = new Array[Double](active)
+    if (groups.length == 0) { interAlias = null; return }
+    val ws = new Array[Double](groups.length)
     var i = 0
-    k = 0
-    while (k <= DecimalGroup) {
-      if (groups(k) != null) { ids(i) = k; ws(i) = weight(k); i += 1 }
-      k += 1
-    }
-    aliasGroupIds = ids
+    while (i < ws.length) { ws(i) = weight(groups(i)); i += 1 }
     interAlias = AliasTable(ws)
   }
 
@@ -481,6 +480,8 @@ object BingoVertex {
     */
   val DecimalGroup: Int = 63
   private val DecimalBit: Long = 1L << DecimalGroup
+
+  private val NoGroups = new Array[Group](0)
 
   /** One group — radix group `p_k` or the decimal group — with its
     * adaptive representation (§5.1).
@@ -523,7 +524,6 @@ object BingoVertex {
       case GroupType.Dense => // nothing
       case GroupType.OneElement => oneSlot = slot
       case GroupType.Regular | GroupType.Sparse =>
-        if (list == null) initRepr(owner)
         if (listLen == list.length) list = java.util.Arrays.copyOf(list, listLen * 2)
         list(listLen) = slot
         setPos(slot, listLen)
@@ -536,20 +536,14 @@ object BingoVertex {
     def rebuildRepr(owner: BingoVertex): Unit = {
       val members = owner.scanMembers(k, count)
       initRepr(owner)
-      tpe match {
-        case GroupType.Dense => // nothing
-        case GroupType.OneElement => oneSlot = members(0)
-        case GroupType.Regular | GroupType.Sparse => members.foreach(reprAdd(owner, _))
-      }
+      members.foreach(reprAdd(owner, _))
     }
 
     def memoryBytes: Long = tpe match {
       case GroupType.Dense => 0L
       case GroupType.OneElement => 8L
-      case GroupType.Sparse =>
-        (if (list == null) 0L else list.length.toLong * 4) + (if (invMap == null) 0L else invMap.memoryBytes)
-      case GroupType.Regular =>
-        (if (list == null) 0L else list.length.toLong * 4) + (if (inv == null) 0L else inv.length.toLong * 4)
+      case GroupType.Sparse => list.length.toLong * 4 + invMap.memoryBytes
+      case GroupType.Regular => list.length.toLong * 4 + inv.length.toLong * 4
     }
   }
 

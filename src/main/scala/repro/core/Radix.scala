@@ -1,57 +1,19 @@
 package repro.core
 
-/** Radix-based bias decomposition — paper §4.1, Equations (3) and (4).
+/** The bias arithmetic around the radix decomposition of paper §4.1.
   *
-  * `D(w) = { 2^k | w & 2^k != 0 }` splits an integer bias into sub-biases by
-  * its set bits; `W(p_k) = Σ_i (w_i & 2^k)` is the total weight of radix
-  * group `p_k`. Because every member of group `p_k` contributes exactly
-  * `2^k`, `W(p_k) = |G_k| · 2^k` and intra-group sampling is *unbiased*.
-  *
-  * Floating-point biases (paper §4.3) are first scaled by an amortisation
-  * factor λ; the integer part is radix-decomposed and the decimal remainders
-  * of all neighbors are pooled into one extra *decimal group*.
+  * `D(w) = { 2^k | w & 2^k != 0 }` (Eq. 3) splits an integer bias into
+  * sub-biases by its set bits, and radix group `p_k` weighs
+  * `W(p_k) = |G_k| · 2^k` (Eq. 4); [[BingoVertex]] does both inline on a
+  * slot's bias word. This object holds the float side (§4.3–4.4):
+  * floating-point biases are first scaled by an amortisation factor λ; the
+  * integer part is radix-decomposed and the decimal remainders of all
+  * neighbors are pooled into one extra *decimal group*.
   */
 object Radix {
 
-  /** Highest bit a positive Long bias can set (bit 63 is the sign bit). */
-  val MaxBits: Int = 62
-
   /** The exclusive upper bound of a λ-scaled bias. */
   val TwoPow63: Double = math.pow(2, 63)
-
-  /** Bit positions set in `w` — the exponents of D(w) (Eq. 3). */
-  def decompose(w: Long): Array[Int] = {
-    require(w > 0, s"bias must be positive: $w")
-    val out = new Array[Int](java.lang.Long.bitCount(w))
-    var rest = w
-    var i = 0
-    while (rest != 0) {
-      val k = java.lang.Long.numberOfTrailingZeros(rest)
-      out(i) = k
-      rest &= rest - 1
-      i += 1
-    }
-    out
-  }
-
-  /** Σ of the sub-biases of D(w) — must equal w (used as a law in tests). */
-  def recompose(bits: Array[Int]): Long = bits.foldLeft(0L)((acc, k) => acc | (1L << k))
-
-  /** Group weights W(p_k) for a bias vector (Eq. 4); index k = bit position. */
-  def groupWeights(biases: Array[Long]): Array[Long] = {
-    val w = new Array[Long](MaxBits + 1)
-    var i = 0
-    while (i < biases.length) {
-      var rest = biases(i)
-      while (rest != 0) {
-        val k = java.lang.Long.numberOfTrailingZeros(rest)
-        w(k) += 1L << k
-        rest &= rest - 1
-      }
-      i += 1
-    }
-    w
-  }
 
   /** Scaled decomposition of a floating-point bias (paper §4.3).
     *

@@ -8,16 +8,13 @@ import java.util.SplittableRandom
   * static-graph system it reconstructs its sampling state from scratch each
   * round ([[RebuildEngine]]). We model that state as per-vertex CDF
   * (prefix-sum) arrays sampled by inverse transform (binary search,
-  * O(log d)) — the bulk "matrix" flavour of its per-step operators — and
-  * account for the matrix-API workspace the paper calls out as its dominant
-  * memory cost (it is consistently the most memory-hungry system in
-  * Table 3) as a workspace factor over the CDF size.
+  * O(log d)) — the bulk "matrix" flavour of its per-step operators. It is
+  * charged for what it holds: the reloaded lists plus the CDFs. The paper's
+  * gSampler is the most memory-hungry system of Table 3 through GPU
+  * matrix-API workspace, which this CPU model does not allocate.
   */
 final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) {
   private val cdfs = new Array[Array[Double]](numVertices)
-
-  /** Matrix-API temporaries ≈ this factor × the CDF footprint (Table 3 note). */
-  private val MatrixWorkspaceFactor = 2.0
 
   def name: String = "gSampler"
 
@@ -52,11 +49,8 @@ final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) 
     Array.tabulate(c.length)(i => (c(i) - (if (i == 0) 0.0 else c(i - 1))) / tot)
   }
 
-  /** The CDF plus the matrix workspace. */
-  protected def samplerBytes(v: Int): Long = {
-    val c = cdfs(v)
-    if (c == null) 0L else { val b = c.length.toLong * 8; b + (b * MatrixWorkspaceFactor).toLong }
-  }
+  /** The CDF. */
+  protected def samplerBytes(v: Int): Long = if (cdfs(v) == null) 0L else cdfs(v).length.toLong * 8
 }
 
 object GSamplerEngine {

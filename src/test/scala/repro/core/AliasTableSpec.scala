@@ -68,16 +68,6 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
     StatCheck.assertMatches(exp, 200000, seed = 3, tol = 0.01)(t.sample)
   }
 
-  test("long-weight constructor matches double constructor") {
-    val t1 = AliasTable(Array(5L, 4L, 3L))
-    val t2 = AliasTable(Array(5.0, 4.0, 3.0))
-    (0 until 3).foreach(i => assert(t1.probabilityOf(i) === t2.probabilityOf(i) +- 1e-12))
-  }
-
-  test("totalWeight preserved") {
-    assert(AliasTable(Array(2.0, 2.0, 8.0)).totalWeight === 12.0 +- 1e-12)
-  }
-
   test("memory accounting is linear in size") {
     assert(AliasTable(Array.fill(10)(1.0)).memoryBytes == 10 * 12)
   }

@@ -25,8 +25,26 @@ class BingoVertexPropertySpec extends AnyFunSuite {
     assert(extraDsts.isEmpty)
   }
 
+  /** Bias generators: integers in 1..maxBias, or [[wideBias]]. */
+  private def uniformBias(maxBias: Int): Random => Double = rnd => (1 + rnd.nextInt(maxBias)).toDouble
+
+  /** Bits across the whole radix range 0..62, a quarter of the biases with a
+    * fraction: groups 0, 62 and the decimal group 63 are born and die inside
+    * single batches.
+    */
+  private val wideBias: Random => Double = rnd =>
+    rnd.nextInt(4) match {
+      case 0 => rnd.nextInt(3) + (1 + rnd.nextDouble()) / 2 // decimal group, groups 0 and 1
+      case 1 => math.pow(2, 62) // group 62
+      case _ => math.pow(2, rnd.nextInt(63)) + rnd.nextInt(2) // one bit of 0..62, and bit 0 below 2^53
+    }
+
+  /** Seeds 0..11 alternate small and large integer biases; 12.. use [[wideBias]]. */
+  private def biasOf(seed: Int): Random => Double =
+    if (seed >= 12) wideBias else uniformBias(if (seed % 2 == 0) 63 else 4096)
+
   /** Drive one random streaming scenario and verify against a naive model. */
-  private def runStreaming(seed: Int, adaptive: Boolean, maxBias: Int): Unit = {
+  private def runStreaming(seed: Int, adaptive: Boolean, nextBias: Random => Double): Unit = {
     val rnd = new Random(seed)
     val v = new BingoVertex(adaptive = adaptive, conversions = new ConversionStats)
     // naive model: list of live (dst, bias) instances in insertion order
@@ -35,7 +53,7 @@ class BingoVertexPropertySpec extends AnyFunSuite {
     (0 until ops).foreach { _ =>
       if (live.isEmpty || rnd.nextDouble() < 0.6) {
         val dst = rnd.nextInt(40) // small space -> duplicates happen
-        val bias = (1 + rnd.nextInt(maxBias)).toDouble
+        val bias = nextBias(rnd)
         v.insert(dst, bias)
         live :+= (dst, bias)
       } else {
@@ -50,13 +68,13 @@ class BingoVertexPropertySpec extends AnyFunSuite {
   }
 
   /** Drive one random batched scenario (paper §5.2 semantics). */
-  private def runBatched(seed: Int, adaptive: Boolean, maxBias: Int): Unit = {
+  private def runBatched(seed: Int, adaptive: Boolean, nextBias: Random => Double): Unit = {
     val rnd = new Random(seed)
     val v = new BingoVertex(adaptive = adaptive, conversions = new ConversionStats)
     var live = Vector.empty[(Int, Double)]
     (0 until 12).foreach { _ =>
       val nIns = rnd.nextInt(30)
-      val inserts = (0 until nIns).map(_ => (rnd.nextInt(40), (1 + rnd.nextInt(maxBias)).toDouble))
+      val inserts = (0 until nIns).map(_ => (rnd.nextInt(40), nextBias(rnd)))
       // deletes may target pre-existing edges or edges inserted in this batch
       val afterIns = live ++ inserts
       val nDel = rnd.nextInt(math.min(afterIns.length + 1, 25))
@@ -75,15 +93,15 @@ class BingoVertexPropertySpec extends AnyFunSuite {
     }
   }
 
-  for (seed <- 0 until 12; adaptive <- Seq(true, false)) {
+  for (seed <- 0 until 16; adaptive <- Seq(true, false)) {
     test(s"streaming random ops seed=$seed adaptive=$adaptive") {
-      runStreaming(9000 + seed, adaptive, maxBias = if (seed % 2 == 0) 63 else 4096)
+      runStreaming(9000 + seed, adaptive, biasOf(seed))
     }
   }
 
-  for (seed <- 0 until 12; adaptive <- Seq(true, false)) {
+  for (seed <- 0 until 16; adaptive <- Seq(true, false)) {
     test(s"batched random rounds seed=$seed adaptive=$adaptive") {
-      runBatched(8000 + seed, adaptive, maxBias = if (seed % 2 == 0) 63 else 4096)
+      runBatched(8000 + seed, adaptive, biasOf(seed))
     }
   }
 

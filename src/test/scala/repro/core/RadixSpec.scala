@@ -5,44 +5,55 @@ import org.scalactic.Tolerance
 import scala.util.Random
 import repro.{Oracle, SparkSpec}
 
-/** Radix decomposition laws (paper Eq. 3–4) — in-JVM and via Spark SQL
-  * cross-checked against DuckDB's bitwise operators.
+/** Radix decomposition laws (paper Eq. 3–4), read off the live
+  * [[BingoVertex]] groups, in-JVM and via Spark SQL cross-checked against
+  * DuckDB's bitwise operators; and the float-bias arithmetic of §4.3–4.4.
   */
 class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
 
+  /** A vertex with one neighbor per bias, dsts 0, 1, 2, … */
+  private def vertexOf(biases: Seq[Long]): BingoVertex =
+    BingoVertex.build(biases.zipWithIndex.map { case (w, i) => (i, w.toDouble) })
+
+  /** W(p_k) = |G_k|·2^k of the live group `k` (Eq. 4). */
+  private def groupWeight(v: BingoVertex, k: Int): Long = v.groupCountOf(k).toLong << k
+
   test("decompose recovers set bits (paper example: 5 = 2^0 + 2^2)") {
-    assert(Radix.decompose(5L).toSeq == Seq(0, 2))
-    assert(Radix.decompose(4L).toSeq == Seq(2))
-    assert(Radix.decompose(3L).toSeq == Seq(0, 1))
-    assert(Radix.decompose(1L).toSeq == Seq(0))
+    assert(vertexOf(Seq(5L)).activeGroupBits == Seq(0, 2))
+    assert(vertexOf(Seq(4L)).activeGroupBits == Seq(2))
+    assert(vertexOf(Seq(3L)).activeGroupBits == Seq(0, 1))
+    assert(vertexOf(Seq(1L)).activeGroupBits == Seq(0))
   }
 
   test("decompose rejects non-positive biases") {
-    intercept[IllegalArgumentException](Radix.decompose(0L))
-    intercept[IllegalArgumentException](Radix.decompose(-3L))
+    intercept[IllegalArgumentException](vertexOf(Seq(0L)))
+    intercept[IllegalArgumentException](vertexOf(Seq(-3L)))
   }
 
   for (trial <- 0 until 25) {
     test(s"law Σ D(w) = w for random biases #$trial") {
       val rnd = new Random(42 + trial)
       val w = 1L + (rnd.nextLong() & ((1L << 50) - 1))
-      assert(Radix.recompose(Radix.decompose(w)) == w)
-      assert(Radix.decompose(w).length == java.lang.Long.bitCount(w))
+      val v = vertexOf(Seq(w))
+      assert(v.activeGroupBits.map(1L << _).sum == w)
+      assert(v.activeGroupBits.length == java.lang.Long.bitCount(w))
+      assert(v.activeGroupBits.forall(v.groupCountOf(_) == 1))
     }
   }
 
-  test("groupWeights matches Eq. 4 on the running example {5,4,3}") {
-    val w = Radix.groupWeights(Array(5L, 4L, 3L))
-    assert(w(0) == 2L) // neighbors with bit 0: biases 5 and 3 -> 2 * 2^0
-    assert(w(1) == 2L) // bias 3 -> 1 * 2^1
-    assert(w(2) == 8L) // biases 5 and 4 -> 2 * 2^2
-    assert((3 to Radix.MaxBits).forall(w(_) == 0L))
+  test("group weights match Eq. 4 on the running example {5,4,3}") {
+    val v = vertexOf(Seq(5L, 4L, 3L))
+    assert(groupWeight(v, 0) == 2L) // neighbors with bit 0: biases 5 and 3 -> 2 * 2^0
+    assert(groupWeight(v, 1) == 2L) // bias 3 -> 1 * 2^1
+    assert(groupWeight(v, 2) == 8L) // biases 5 and 4 -> 2 * 2^2
+    assert((3 to BingoVertex.DecimalGroup).forall(groupWeight(v, _) == 0L))
   }
 
-  test("groupWeights total equals bias sum (mass preservation)") {
+  test("group weights total equals bias sum (mass preservation)") {
     val rnd = new Random(7)
-    val biases = Array.fill(500)(1L + rnd.nextInt(100000).toLong)
-    assert(Radix.groupWeights(biases).sum == biases.sum)
+    val biases = Seq.fill(500)(1L + rnd.nextInt(100000).toLong)
+    val v = vertexOf(biases)
+    assert(v.activeGroupBits.map(groupWeight(v, _)).sum == biases.sum)
   }
 
   test("scaleFloat splits integer and decimal parts") {
@@ -100,7 +111,6 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
     val rnd = new Random(21)
     val biases = Seq.fill(300)(1L + rnd.nextInt(500).toLong)
     val df = biases.toDF("bias")
-    val k = (0 until 9).map(k => k -> (1L << k)).toMap
     // Spark side: per-bit group weights via bitwise AND + aggregation
     val sparkGw = df
       .select(explode(array((0 until 9).map(b => lit(b)): _*)).as("k"), col("bias"))
@@ -118,9 +128,10 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
         |""".stripMargin,
       "biases" -> df,
     )
-    // and both match the in-JVM Radix computation
-    val jvm = Radix.groupWeights(biases.toArray)
+    // and both match the groups of a vertex built over the same biases
+    val v = vertexOf(biases)
     val rows = sparkGw.collect().map(r => r.getAs[Int]("k") -> r.getAs[Long]("w")).toMap
-    (0 until 9).foreach(b => assert(rows.getOrElse(b, 0L) == jvm(b), s"bit $b"))
+    assert(v.activeGroupBits.forall(_ < 9))
+    (0 until 9).foreach(b => assert(rows.getOrElse(b, 0L) == groupWeight(v, b), s"bit $b"))
   }
 }

@@ -22,6 +22,14 @@ class MemoryModelSpec extends AnyFunSuite {
   private def neighbors(d: Int, rnd: Random): Seq[(Int, Double)] =
     Seq.fill(d)((rnd.nextInt(2 * d), math.max(1, (65536 * math.pow(rnd.nextDouble(), 8)).toInt).toDouble))
 
+  test("BingoVertex fixed cost: an empty vertex retains ≤ 300 B, a one-neighbor vertex ≤ 560 B") {
+    val empty = SizeEstimator.estimate(new BingoVertex)
+    val one = SizeEstimator.estimate(BingoVertex.build(Seq(7 -> 5.0)))
+    info(s"SizeEstimator: empty $empty B, one neighbor $one B")
+    assert(empty <= 300, s"empty vertex retains $empty B")
+    assert(one <= 560, s"one-neighbor vertex retains $one B")
+  }
+
   for (d <- Seq(1024, 16384)) {
     test(s"BingoVertex and Adjacency memoryBytes within ±25% of SizeEstimator at d = $d") {
       val rnd = new Random(d)
