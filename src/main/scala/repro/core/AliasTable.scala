@@ -56,8 +56,8 @@ final class AliasTable private (
     p
   }
 
-  /** Approximate retained heap bytes (two parallel arrays). */
-  def memoryBytes: Long = prob.length.toLong * (8 + 4)
+  /** Retained heap bytes: the object and its two parallel arrays. */
+  def memoryBytes: Long = Heap.obj(2 * Heap.Ref) + Heap.array(prob.length, 8) + Heap.array(alias.length, 4)
 }
 
 object AliasTable {

@@ -202,13 +202,14 @@ final class BingoVertex(
   /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
   def activeGroupBits: Seq[Int] = groups.map(_.k).toSeq
 
-  /** Retained bytes of the sampling structures (adjacency slots + groups +
-    * inverted indexes + inter-group alias).
+  /** Retained bytes of the vertex: the object, its adjacency slots, bias
+    * columns, groups with their inverted indexes, and inter-group alias.
     */
   def memoryBytes: Long = {
-    // dst + index, scaled bias, group references
-    var m = slotBytes + biasIntArr.length.toLong * 8 + groups.length.toLong * 4
-    if (decArr != null) m += decArr.length.toLong * 8
+    // 8 references, d, lambda / active / decSum / decMax, adaptive
+    var m = Heap.obj(8 * Heap.Ref + 4 + 4 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
+    if (decArr != null) m += Heap.array(decArr.length, 8)
+    if (groups.length > 0) m += Heap.array(groups.length, Heap.Ref) // the empty array is shared
     var i = 0
     while (i < groups.length) { m += groups(i).memoryBytes; i += 1 }
     if (interAlias != null) m += interAlias.memoryBytes
@@ -539,12 +540,12 @@ object BingoVertex {
       members.foreach(reprAdd(owner, _))
     }
 
-    def memoryBytes: Long = tpe match {
-      case GroupType.Dense => 0L
-      case GroupType.OneElement => 8L
-      case GroupType.Sparse => list.length.toLong * 4 + invMap.memoryBytes
-      case GroupType.Regular => list.length.toLong * 4 + inv.length.toLong * 4
-    }
+    /** The object (4 references, 4 ints, `dirty`) and its representation. */
+    def memoryBytes: Long = Heap.obj(4 * Heap.Ref + 4 * 4 + 1) + (tpe match {
+      case GroupType.Dense | GroupType.OneElement => 0L
+      case GroupType.Sparse => Heap.array(list.length, 4) + invMap.memoryBytes
+      case GroupType.Regular => Heap.array(list.length, 4) + Heap.array(inv.length, 4)
+    })
   }
 
   /** Build a vertex sampler from scratch: `neighbors` as one insert batch. */

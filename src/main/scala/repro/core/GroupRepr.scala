@@ -46,12 +46,8 @@ object GroupType {
   }
 }
 
-/** Thread-safe counters of group-type conversions (paper Table 4).
-  *
-  * `ratio(from, to)` = conversions from → to divided by the number of group
-  * *touch* events (insertions/deletions applied to a group of type `from`) —
-  * conversions are rare relative to touches, which is the paper's point:
-  * the highest LJ entry is 0.47%.
+/** Thread-safe counters of group-type conversions (paper Table 4) and of
+  * group *touch* events (insertions/deletions applied to a group of a type).
   */
 final class ConversionStats extends Serializable {
   private val conv = Array.fill(4, 4)(new LongAdder)
@@ -62,12 +58,6 @@ final class ConversionStats extends Serializable {
 
   def conversions(from: GroupType, to: GroupType): Long = conv(from.id)(to.id).sum()
   def touches(from: GroupType): Long = touch(from.id).sum()
-
-  /** Percentage matrix in the layout of paper Table 4 (row = from, col = to). */
-  def ratioPercent(from: GroupType, to: GroupType): Double = {
-    val t = touches(from)
-    if (t == 0L) 0.0 else conversions(from, to) * 100.0 / t
-  }
 
   def totalConversions: Long = GroupType.All.flatMap(f => GroupType.All.map(t => conversions(f, t))).sum
   def totalTouches: Long = GroupType.All.map(touches).sum

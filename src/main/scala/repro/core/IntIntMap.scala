@@ -3,8 +3,8 @@ package repro.core
 /** Primitive open-addressing map from non-negative `Int` keys to
   * non-negative `Int` values: linear probing with backward-shift deletion
   * (no tombstones), power-of-two capacity and load ≤ 0.5. Each entry keeps
-  * its key and value side by side in one array, so a copy is one array
-  * clone. A map that never held an entry allocates no table.
+  * its key and value side by side in one array. A map that never held an
+  * entry allocates no table.
   */
 final class IntIntMap extends Serializable {
   import IntIntMap._
@@ -74,15 +74,8 @@ final class IntIntMap extends Serializable {
     }
   }
 
-  /** An independent copy with the same capacity. */
-  def copy(): IntIntMap = {
-    val c = new IntIntMap
-    if (table.length > 0) c.table = table.clone()
-    c.n = n
-    c
-  }
-
-  def memoryBytes: Long = table.length.toLong * 4
+  /** The map object and its table (the shared empty table counts nothing). */
+  def memoryBytes: Long = Heap.obj(Heap.Ref + 4) + (if (table.length == 0) 0L else Heap.array(table.length, 4))
 
   /** Array index of `key`'s entry, or of the free entry that ends its probe run. */
   private def indexOf(key: Int): Int = {

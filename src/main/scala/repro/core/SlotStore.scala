@@ -105,16 +105,8 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     }
   }
 
-  /** Copy the slots and index of `src` into this (empty) store, keeping its capacity. */
-  protected final def copySlotsFrom(src: SlotStore): Unit = {
-    dstArr = src.dstArr.clone()
-    nextDup = src.nextDup.clone()
-    d = src.d
-    latest = src.latest.copy()
-  }
-
   /** Bytes of the dst column and the dst index. */
-  protected final def slotBytes: Long = (dstArr.length + nextDup.length).toLong * 4 + latest.memoryBytes
+  protected final def slotBytes: Long = Heap.array(dstArr.length, 4) + Heap.array(nextDup.length, 4) + latest.memoryBytes
 
   /** Fail-fast check that the dst index covers every slot exactly once, each
     * dst's ring closing from its latest slot back to its earliest.

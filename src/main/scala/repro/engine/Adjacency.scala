@@ -23,14 +23,8 @@ final class Adjacency extends SlotStore(2) {
     slot >= 0
   }
 
-  def deepCopy: Adjacency = {
-    val c = new Adjacency
-    c.copySlotsFrom(this)
-    c.bias = java.util.Arrays.copyOf(bias, bias.length)
-    c
-  }
-
-  def memoryBytes: Long = slotBytes + bias.length.toLong * 8
+  /** A copy of the dst column, trimmed to the degree. */
+  def dsts: Array[Int] = java.util.Arrays.copyOf(dstArr, d)
 
   protected def growColumns(cap: Int): Unit = bias = java.util.Arrays.copyOf(bias, cap)
   protected def moveSlot(from: Int, to: Int): Unit = bias(to) = bias(from)

@@ -1,7 +1,7 @@
 package repro.engine
 
 import java.util.SplittableRandom
-import repro.core.{BingoVertex, ConversionStats}
+import repro.core.{BingoVertex, ConversionStats, Heap}
 import repro.graph.{Edge, Update}
 
 /** BINGO — the paper's system. One [[repro.core.BingoVertex]] radix-
@@ -42,7 +42,7 @@ final class BingoEngine(
   def sampleNext(u: Int, rng: SplittableRandom): Int = vertices(u).sample(rng)
 
   def memoryBytes: Long = {
-    var s = 0L
+    var s = Heap.array(numVertices, Heap.Ref)
     var i = 0
     while (i < numVertices) { s += vertices(i).memoryBytes; i += 1 }
     s

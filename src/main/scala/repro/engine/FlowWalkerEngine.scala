@@ -16,18 +16,17 @@ import repro.core.ReservoirSampler
 final class FlowWalkerEngine(numVertices: Int) extends RebuildEngine(numVertices) {
   def name: String = "FlowWalker"
 
-  protected def rebuild(v: Int, a: Adjacency): Unit = ()
+  protected def rebuild(v: Int, bias: Array[Double]): Unit = ()
 
-  /** O(d) weighted reservoir pass over the neighbor list. */
+  /** O(d) weighted reservoir pass over the reloaded biases. */
   protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
-    val a = loaded(u)
-    if (a.degree == 0) -1 else ReservoirSampler.sample(a.bias, 0, a.degree, rng)
+    val w = loadedBias(u)
+    if (w.length == 0) -1 else ReservoirSampler.sample(w, 0, w.length, rng)
   }
 
   /** The reloaded biases over their total. */
   protected def slotProbabilities(u: Int): Array[Double] = {
-    val a = loaded(u)
-    val w = java.util.Arrays.copyOfRange(a.bias, 0, a.degree)
+    val w = loadedBias(u)
     val tot = w.sum
     w.map(_ / tot)
   }

@@ -1,6 +1,7 @@
 package repro.engine
 
 import java.util.SplittableRandom
+import repro.core.Heap
 
 /** gSampler-like baseline [15] as used in paper §6.2.
   *
@@ -9,7 +10,7 @@ import java.util.SplittableRandom
   * round ([[RebuildEngine]]). We model that state as per-vertex CDF
   * (prefix-sum) arrays sampled by inverse transform (binary search,
   * O(log d)) — the bulk "matrix" flavour of its per-step operators. It is
-  * charged for what it holds: the reloaded lists plus the CDFs. The paper's
+  * charged for what it holds: the reloaded arrays plus the CDFs. The paper's
   * gSampler is the most memory-hungry system of Table 3 through GPU
   * matrix-API workspace, which this CPU model does not allocate.
   */
@@ -18,13 +19,13 @@ final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) 
 
   def name: String = "gSampler"
 
-  protected def rebuild(v: Int, a: Adjacency): Unit =
-    if (a.degree == 0) cdfs(v) = null
+  protected def rebuild(v: Int, bias: Array[Double]): Unit =
+    if (bias.length == 0) cdfs(v) = null
     else {
-      val c = new Array[Double](a.degree)
+      val c = new Array[Double](bias.length)
       var acc = 0.0
       var i = 0
-      while (i < a.degree) { acc += a.bias(i); c(i) = acc; i += 1 }
+      while (i < bias.length) { acc += bias(i); c(i) = acc; i += 1 }
       cdfs(v) = c
     }
 
@@ -50,7 +51,7 @@ final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) 
   }
 
   /** The CDF. */
-  protected def samplerBytes(v: Int): Long = if (cdfs(v) == null) 0L else cdfs(v).length.toLong * 8
+  protected def samplerBytes(v: Int): Long = Heap.Ref + (if (cdfs(v) == null) 0L else Heap.array(cdfs(v).length, 8))
 }
 
 object GSamplerEngine {

@@ -1,7 +1,7 @@
 package repro.engine
 
 import java.util.SplittableRandom
-import repro.core.AliasTable
+import repro.core.{AliasTable, Heap}
 
 /** KnightKing-like baseline [73] as used in paper §6.2.
   *
@@ -16,8 +16,8 @@ final class KnightKingEngine(numVertices: Int) extends RebuildEngine(numVertices
 
   def name: String = "KnightKing"
 
-  protected def rebuild(v: Int, a: Adjacency): Unit =
-    tables(v) = if (a.degree == 0) null else AliasTable(java.util.Arrays.copyOfRange(a.bias, 0, a.degree))
+  protected def rebuild(v: Int, bias: Array[Double]): Unit =
+    tables(v) = if (bias.length == 0) null else AliasTable(bias)
 
   protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
     val t = tables(u)
@@ -26,7 +26,7 @@ final class KnightKingEngine(numVertices: Int) extends RebuildEngine(numVertices
 
   protected def slotProbabilities(u: Int): Array[Double] = tables(u).probabilities
 
-  protected def samplerBytes(v: Int): Long = if (tables(v) == null) 0L else tables(v).memoryBytes
+  protected def samplerBytes(v: Int): Long = Heap.Ref + (if (tables(v) == null) 0L else tables(v).memoryBytes)
 }
 
 object KnightKingEngine {

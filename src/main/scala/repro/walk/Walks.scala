@@ -21,17 +21,25 @@ object Walks {
   sealed trait WalkApp extends Serializable { def label: String }
 
   /** Biased DeepWalk [46]: fixed-length first-order walk (paper default 80). */
-  final case class DeepWalk(length: Int = 80) extends WalkApp { def label = "DeepWalk" }
+  final case class DeepWalk(length: Int = 80) extends WalkApp {
+    require(length >= 1, s"DeepWalk length must be ≥ 1, got $length")
+    def label = "DeepWalk"
+  }
 
   /** node2vec [17]: second-order walk; KnightKing's static-sample +
     * history-rejection scheme (§7.3), paper defaults p=0.5, q=2, length 80.
     */
   final case class Node2vec(length: Int = 80, p: Double = 0.5, q: Double = 2.0) extends WalkApp {
+    require(length >= 1, s"node2vec length must be ≥ 1, got $length")
+    // a zero or NaN p/q would turn every second-order hop into 10,000 rejected tries
+    require(p > 0 && q > 0 && p.isFinite && q.isFinite, s"node2vec p and q must be positive and finite, got p=$p q=$q")
     def label = "node2vec"
   }
 
   /** Personalized PageRank: terminate each step w.p. `stopProb` (paper 1/80). */
   final case class Ppr(stopProb: Double = 1.0 / 80, maxLength: Int = 400) extends WalkApp {
+    require(stopProb >= 0 && stopProb <= 1, s"PPR stop probability must be in [0, 1], got $stopProb")
+    require(maxLength >= 1, s"PPR maxLength must be ≥ 1, got $maxLength")
     def label = "PPR"
   }
 

@@ -69,7 +69,10 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
   }
 
   test("memory accounting is linear in size") {
-    assert(AliasTable(Array.fill(10)(1.0)).memoryBytes == 10 * 12)
+    def bytes(n: Int): Long = AliasTable(Array.fill(n)(1.0)).memoryBytes
+    // the object, then a Double and an Int per candidate in two arrays
+    assert(bytes(10) == 24 + (16 + 80) + (16 + 40))
+    assert(bytes(20) - bytes(10) == 10 * 12)
   }
 
   // property: exact probabilities equal normalised weights for random vectors

@@ -209,11 +209,9 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     val rnd = new Random(77)
     (0 until 300).foreach(i => v.insert(i, (1 + rnd.nextInt(255)).toDouble))
     (0 until 150).foreach(i => v.delete(i))
+    // every conversion out of a type follows a touch of a group of that type
     GroupType.All.foreach { from =>
-      GroupType.All.foreach { to =>
-        val r = cs.ratioPercent(from, to)
-        assert(r >= 0.0 && r <= 100.0)
-      }
+      GroupType.All.foreach(to => assert(cs.conversions(from, to) <= cs.touches(from), s"$from -> $to"))
     }
     checkTheorem41(v)
   }

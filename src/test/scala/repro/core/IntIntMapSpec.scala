@@ -36,7 +36,8 @@ class IntIntMapSpec extends AnyFunSuite {
 
   test("capacity: nothing allocated while empty, doubles to keep load ≤ 0.5") {
     val m = new IntIntMap
-    assert(m.capacity == 0 && m.memoryBytes == 0 && m.get(3) == -1 && m.remove(3) == -1)
+    // only the map object is charged: the empty table is shared
+    assert(m.capacity == 0 && m.memoryBytes == Heap.obj(Heap.Ref + 4) && m.get(3) == -1 && m.remove(3) == -1)
     (0 until 1000).foreach { k =>
       m.put(k * 7919, k)
       assert(m.capacity >= 2 * m.size)
@@ -46,17 +47,6 @@ class IntIntMapSpec extends AnyFunSuite {
     // overwriting an existing key never grows the table
     (0 until 1000).foreach(k => assert(m.put(k * 7919, k + 1) == k))
     assert(m.capacity == 2048 && m.size == 1000)
-  }
-
-  test("copy is independent of its source") {
-    val m = new IntIntMap
-    (0 until 10).foreach(k => m.put(k, k))
-    val c = m.copy()
-    m.put(3, 30); m.remove(4); m.put(11, 11)
-    c.put(5, 50); c.remove(6)
-    assert((0 until 12).map(c.get) == Seq(0, 1, 2, 3, 4, 50, -1, 7, 8, 9, -1, -1))
-    assert((0 until 12).map(m.get) == Seq(0, 1, 2, 30, -1, 5, 6, 7, 8, 9, -1, 11))
-    assert(new IntIntMap().copy().capacity == 0)
   }
 
   test("rejects negative keys and values") {

@@ -89,13 +89,6 @@ class SlotStoreSpec extends AnyFunSuite {
     def tagsOf(dst: Int): Seq[Int] =
       Iterator.iterate(firstSlotOf(dst))(nextSlotOf).takeWhile(_ >= 0).map(tag(_)).toSeq
 
-    def copy(): TaggedStore = {
-      val c = new TaggedStore
-      c.copySlotsFrom(this)
-      c.tag = tag.clone()
-      c
-    }
-
     def validate(): Unit = validateSlots()
 
     protected def growColumns(cap: Int): Unit = tag = java.util.Arrays.copyOf(tag, cap)
@@ -148,7 +141,7 @@ class SlotStoreSpec extends AnyFunSuite {
       else if (rnd.nextBoolean()) clustered(rnd.nextInt(clustered.size))
       else spread(rnd.nextInt(spread.size))
 
-    var s = new TaggedStore
+    val s = new TaggedStore
     var model: Model = Map.empty
     var nextTag = 0
     var maxDegree = 0
@@ -164,20 +157,6 @@ class SlotStoreSpec extends AnyFunSuite {
       model = applyBatch(s, model, ins, dels, ctx)
       assertMatches(s, model, universe, ctx)
       maxDegree = math.max(maxDegree, s.degree)
-
-      if (b % 40 == 7) {
-        // a copy is independent of its source in both directions
-        val c = s.copy()
-        val frozen = model
-        nextTag += 1
-        model = applyBatch(s, model, Seq((hot(0), nextTag)), live.take(5), s"$ctx source")
-        assertMatches(c, frozen, universe, s"$ctx copy after source changed")
-        nextTag += 1
-        val copyModel = applyBatch(c, frozen, Seq((colliding(5), nextTag)), frozen.keys.take(7).toSeq, s"$ctx copy")
-        assertMatches(c, copyModel, universe, s"$ctx copy")
-        assertMatches(s, model, universe, s"$ctx source after copy changed")
-        if (b % 80 == 7) { s = c; model = copyModel } // carry on with the copy
-      }
     }
     assert(maxDegree > 1000, s"the store never grew past $maxDegree slots")
     // drain: every remaining instance leaves in timestamp order

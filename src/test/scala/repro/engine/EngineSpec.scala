@@ -174,15 +174,6 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     assert(!a.delete(1))
   }
 
-  test("Adjacency: deepCopy is independent") {
-    val a = new Adjacency
-    a.insert(1, 2.0)
-    val c = a.deepCopy
-    a.insert(1, 3.0)
-    assert(c.degree == 1)
-    assert(a.degree == 2)
-  }
-
   test("GraphStore register/get/remove") {
     val eng = BingoEngine.factory().build(2, Vector(Edge(0, 1, 1.0)))
     GraphStore.register("t", eng)

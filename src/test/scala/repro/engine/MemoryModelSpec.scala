@@ -1,12 +1,16 @@
 package repro.engine
 
+import java.lang.reflect.Modifier
 import org.apache.spark.util.SizeEstimator
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.{Batch, BingoVertex, GroupType}
+import repro.graph.GraphGen
 
 /** The hand-written `memoryBytes` models against Spark's `SizeEstimator`,
-  * which walks the live object graph: both must count the same arrays.
+  * which walks the live object graph: both must count the same objects,
+  * arrays, headers and references — per vertex, and per engine on the
+  * -lite graphs, where small vertices make the fixed costs count.
   */
 class MemoryModelSpec extends AnyFunSuite {
 
@@ -31,7 +35,7 @@ class MemoryModelSpec extends AnyFunSuite {
   }
 
   for (d <- Seq(1024, 16384)) {
-    test(s"BingoVertex and Adjacency memoryBytes within ±25% of SizeEstimator at d = $d") {
+    test(s"BingoVertex memoryBytes within ±25% of SizeEstimator at d = $d") {
       val rnd = new Random(d)
       val nbrs = neighbors(d, rnd)
       val doomed = nbrs.take(d / 4).map(_._1) // deleted after the build: capacity > degree
@@ -49,11 +53,50 @@ class MemoryModelSpec extends AnyFunSuite {
         v.validate()
         assertClose(v.memoryBytes, SizeEstimator.estimate(v), s"$tag, a quarter deleted")
       }
-      val a = new Adjacency
-      nbrs.foreach { case (x, w) => a.insert(x, w) }
-      assertClose(a.memoryBytes, SizeEstimator.estimate(a), "Adjacency, built")
-      doomed.foreach(a.delete)
-      assertClose(a.deepCopy.memoryBytes, SizeEstimator.estimate(a.deepCopy), "Adjacency copy, a quarter deleted")
+    }
+  }
+
+  /** SizeEstimator of `roots` taken together, without its sampling: it
+    * measures only 200 elements of an object array of 400 or more and scales
+    * the smaller half up, which misses the hubs of a skewed graph (on TW-lite
+    * it reads KnightKing's state 23% low). So each such array is measured as
+    * chunks of 399 elements, which it walks in full.
+    */
+  private def exactSize(roots: Seq[AnyRef]): Long =
+    SizeEstimator.estimate(roots.flatMap {
+      case a: Array[AnyRef] => a.grouped(399).toSeq
+      case x => Seq(x)
+    }.toArray)
+
+  /** Engine-resident state: Bingo's `vertices`; a baseline's fields but its
+    * uncharged harness-side `adj`.
+    */
+  private def resident(e: WalkEngine): Seq[AnyRef] = e match {
+    case b: BingoEngine => Seq(b.vertices)
+    case r: RebuildEngine =>
+      Iterator
+        .iterate[Class[_]](r.getClass)(_.getSuperclass)
+        .takeWhile(_ != classOf[Object])
+        .flatMap(_.getDeclaredFields)
+        .filter(f => !Modifier.isStatic(f.getModifiers) && !f.getType.isPrimitive && f.getName != "adj")
+        .map { f => f.setAccessible(true); f.get(r) }
+        .toSeq
+  }
+
+  for (spec <- Seq(GraphGen.LJ, GraphGen.TW)) {
+    test(s"engine memoryBytes within ±25% of SizeEstimator on ${spec.abbr}-lite, all five engines") {
+      val g = GraphGen.generate(spec)
+      val factories = Seq(
+        "Bingo adaptive" -> BingoEngine.factory(),
+        "Bingo BS" -> BingoEngine.factory(adaptive = false),
+        "KnightKing" -> KnightKingEngine.factory,
+        "gSampler" -> GSamplerEngine.factory,
+        "FlowWalker" -> FlowWalkerEngine.factory,
+      )
+      for ((tag, f) <- factories) {
+        val e = f.build(g.numVertices, g.edges)
+        assertClose(e.memoryBytes, exactSize(resident(e)), s"${spec.abbr}-lite $tag")
+      }
     }
   }
 }

@@ -178,6 +178,39 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(tv < 0.02, s"TV=$tv")
   }
 
+  // ---------------- parameter validation ----------------
+
+  private val invalidApps: Seq[(String, () => Walks.WalkApp)] = Seq(
+    "DeepWalk length 0" -> (() => Walks.DeepWalk(0)),
+    "node2vec length 0" -> (() => Walks.Node2vec(0)),
+    "node2vec p = 0" -> (() => Walks.Node2vec(20, 0.0, 2.0)),
+    "node2vec p < 0" -> (() => Walks.Node2vec(20, -0.5, 2.0)),
+    "node2vec p = NaN" -> (() => Walks.Node2vec(20, Double.NaN, 2.0)),
+    "node2vec p = +Inf" -> (() => Walks.Node2vec(20, Double.PositiveInfinity, 2.0)),
+    "node2vec q = 0" -> (() => Walks.Node2vec(20, 0.5, 0.0)),
+    "node2vec q = NaN" -> (() => Walks.Node2vec(20, 0.5, Double.NaN)),
+    "node2vec q = +Inf" -> (() => Walks.Node2vec(20, 0.5, Double.PositiveInfinity)),
+    "PPR stop probability < 0" -> (() => Walks.Ppr(-0.1, 400)),
+    "PPR stop probability > 1" -> (() => Walks.Ppr(1.5, 400)),
+    "PPR stop probability NaN" -> (() => Walks.Ppr(Double.NaN, 400)),
+    "PPR maxLength 0" -> (() => Walks.Ppr(1.0 / 80, 0)),
+  )
+  for ((what, make) <- invalidApps) {
+    test(s"rejected at construction: $what") {
+      intercept[IllegalArgumentException](make())
+    }
+  }
+
+  test("boundary walk parameters are accepted and walk") {
+    val eng = BingoEngine.factory().build(2, Vector(Edge(0, 1, 1.0), Edge(1, 0, 1.0)))
+    val rng = new SplittableRandom(3)
+    assert(Walks.walkPath(eng, Walks.DeepWalk(1), 0, rng).toSeq == Seq(0))
+    assert(Walks.walkPath(eng, Walks.Node2vec(1, 1e-3, 1e3), 0, rng).toSeq == Seq(0))
+    assert(Walks.walkPath(eng, Walks.Ppr(1.0, 400), 0, rng).toSeq == Seq(0))
+    assert(Walks.walkPath(eng, Walks.Ppr(0.0, 5), 0, rng).toSeq == Seq(0, 1, 0, 1, 0))
+    assert(Walks.walkPath(eng, Walks.Ppr(0.0, 1), 0, rng).toSeq == Seq(0))
+  }
+
   // ---------------- Spark fan-out + relational aggregation ----------------
 
   test("Spark paths: deterministic, correct shape, valid edges") {
