@@ -1,5 +1,6 @@
 package repro.eval
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.SparkSession
 import repro.engine.{EngineFactory, GraphStore, UpdateBatch, WalkEngine}
 import repro.graph.{GraphGen, Update, UpdateGen, UpdateMode}
@@ -15,14 +16,19 @@ import repro.walk.Walks
   * [[repro.engine.UpdateBatch]] (validated and grouped by vertex on the
   * driver, the same batch `applyRoundLocal` applies as one slice), applies
   * it per vertex and then runs its slice of the engine's per-round
-  * rebuild. Walks fan out as a range of walker ids, one partition per core.
+  * rebuild. Walks fan out the same way: task s walks a contiguous range of
+  * walker ids. Each job is one `sc.runJob` over one `sc.parallelize` RDD
+  * with a `(TaskContext, Iterator)` task function: every further RDD layer
+  * or Spark-side wrapper closure (`collect`, `range`, `mapPartitions`) cost
+  * about 4 ms per job on a 4-vCPU box.
   *
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
   * analogue of GPU kernel time in the paper. Spark's per-job overhead
-  * outside the tasks (about 20–25 ms per job on a 4-vCPU box, identical for
-  * every system and about 10× the in-task cost of a 1000-update batch at
-  * -lite scale) would otherwise drown the systems' algorithmic differences.
+  * outside the tasks (about 10 ms per walk job and 20 ms per update job on
+  * a 4-vCPU box, identical for every system and several times the in-task
+  * cost of a 1000-update batch at -lite scale) would otherwise drown the
+  * systems' algorithmic differences.
   */
 object Bench {
 
@@ -64,20 +70,19 @@ object Bench {
     val p = math.max(1, sc.defaultParallelism)
     val batches = UpdateBatch.split(round, p, GraphStore.get(handle).numVertices)
     // p batches in p partitions: partition s holds exactly slice s
-    val taskNanos = sc
-      .parallelize(batches.toSeq, p)
-      .mapPartitionsWithIndex { (slice, it) =>
-        val eng = GraphStore.get(handle)
-        val t0 = System.nanoTime()
-        it.foreach(_.applyTo(eng))
-        eng.postRoundSlice(slice, p)
-        Iterator.single(System.nanoTime() - t0)
-      }
-      .collect()
+    val taskNanos = sc.runJob(sc.parallelize(batches.toSeq, p), (ctx: TaskContext, it: Iterator[UpdateBatch]) => {
+      val eng = GraphStore.get(handle)
+      val t0 = System.nanoTime()
+      it.foreach(_.applyTo(eng))
+      eng.postRoundSlice(ctx.partitionId(), p)
+      System.nanoTime() - t0
+    })
     taskNanos.max / 1e9
   }
 
-  /** Run the walk phase, returning (steps sampled, critical-path seconds). */
+  /** Run the walk phase, returning (steps sampled, critical-path seconds).
+    * Task s walks the contiguous walker ids `[s·walkers/p, (s+1)·walkers/p)`.
+    */
   def runWalksSpark(
       spark: SparkSession,
       handle: String,
@@ -85,20 +90,20 @@ object Bench {
       walkers: Int,
       seed: Long,
   ): (Long, Double) = {
-    val perTask = spark.sparkContext
-      .range(0L, walkers.toLong)
-      .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        val t0 = System.nanoTime()
-        var steps = 0L
-        it.foreach { wid =>
-          val rng = Walks.walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          steps += Walks.walkPath(eng, app, start, rng).length - 1
-        }
-        Iterator.single((steps, System.nanoTime() - t0))
+    val sc = spark.sparkContext
+    val p = math.max(1, sc.defaultParallelism)
+    val perTask = sc.runJob(sc.parallelize(0 until p, p), (ctx: TaskContext, _: Iterator[Int]) => {
+      val s = ctx.partitionId()
+      val eng = GraphStore.get(handle)
+      val t0 = System.nanoTime()
+      var steps = 0L
+      (s.toLong * walkers / p until (s + 1L) * walkers / p).foreach { wid =>
+        val rng = Walks.walkerRng(seed, wid)
+        val start = (wid % eng.numVertices).toInt
+        steps += Walks.walkPath(eng, app, start, rng).length - 1
       }
-      .collect()
+      (steps, System.nanoTime() - t0)
+    })
     (perTask.map(_._1).sum, perTask.map(_._2).max / 1e9)
   }
 

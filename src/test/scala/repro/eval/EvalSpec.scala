@@ -1,10 +1,15 @@
 package repro.eval
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, StatCheck}
 import repro.engine._
 import repro.graph._
 import repro.walk.Walks
+import scala.jdk.CollectionConverters._
 
 /** Harness-level integration tests: Spark-routed updates are equivalent to
   * local application, and the table runners produce sane output at tiny
@@ -127,6 +132,34 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
         eng.applyRoundLocal(Seq(Update(3, insert = false, 0, 1, Double.NaN)))
         assert(eng.outDegree(0) == 0, f.name)
       } finally GraphStore.remove("eval-spec-range")
+    }
+  }
+
+  test("each round job runs one stage over one RDD") {
+    val sc = spark.sparkContext
+    val shapes = new ConcurrentLinkedQueue[(String, Seq[Int])]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(ps => Option(ps.getProperty("spark.jobGroup.id")))
+          .filter(_.startsWith("eval-spec-shape"))
+          .foreach(g => shapes.add(g -> e.stageInfos.map(_.rddInfos.size)))
+    }
+    val eng = BingoEngine.factory().build(8, Seq(Edge(0, 1, 1.0), Edge(1, 2, 2.0)))
+    GraphStore.register("eval-spec-shape", eng)
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("eval-spec-shape-update", "update")
+      Bench.applyRoundSpark(spark, "eval-spec-shape", Seq(Update(1, insert = true, 2, 3, 1.0)))
+      sc.setJobGroup("eval-spec-shape-walk", "walk")
+      Bench.runWalksSpark(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
+      sc.clearJobGroup()
+      eventually(timeout(Span(30, Seconds))) { assert(shapes.size == 2) }
+      // one stage per job, and that stage holds exactly one RDD
+      assert(shapes.asScala.toSeq == Seq("eval-spec-shape-update" -> Seq(1), "eval-spec-shape-walk" -> Seq(1)))
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+      GraphStore.remove("eval-spec-shape")
     }
   }
 

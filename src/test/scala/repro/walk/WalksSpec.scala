@@ -251,6 +251,13 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
         }.sum
         assert(Bench.runWalksSpark(spark, "walks-spec-2", app, 101, seed = 4L)._1 == serial, app.label)
       }
+      // fewer walkers than tasks leaves some tasks with no walker; none leaves all
+      val few = (0L until 3L).map { wid =>
+        Walks.walkPath(eng, Walks.DeepWalk(12), (wid % v).toInt, Walks.walkerRng(4L, wid)).length - 1L
+      }.sum
+      assert(few > 0)
+      assert(Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 3, seed = 4L)._1 == few)
+      assert(Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 0, seed = 4L)._1 == 0L)
     } finally GraphStore.remove("walks-spec-2")
   }
 
