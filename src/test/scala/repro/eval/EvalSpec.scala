@@ -152,7 +152,6 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       Bench.applyRoundSpark(spark, "eval-spec-shape", Seq(Update(1, insert = true, 2, 3, 1.0)))
       sc.setJobGroup("eval-spec-shape-walk", "walk")
       Bench.runWalksSpark(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
-      sc.clearJobGroup()
       eventually(timeout(Span(30, Seconds))) { assert(shapes.size == 2) }
       // one stage per job, and that stage holds exactly one RDD
       assert(shapes.asScala.toSeq == Seq("eval-spec-shape-update" -> Seq(1), "eval-spec-shape-walk" -> Seq(1)))

@@ -244,20 +244,17 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
       val rows = Walks.paths(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L).count()
       assert(steps == rows - 32)
       // a partitioning that drops or repeats walker ids changes the sum
-      // (101 walkers do not split evenly across tasks)
-      for (app <- Seq(Walks.DeepWalk(12), Walks.Ppr(1.0 / 10, 100), Walks.Node2vec(12, 0.5, 2.0))) {
-        val serial = (0L until 101L).map { wid =>
+      // (101 walkers do not split evenly across tasks; 3 leave some tasks
+      // without a walker, 0 leave all of them)
+      for {
+        app <- Seq(Walks.DeepWalk(12), Walks.Ppr(1.0 / 10, 100), Walks.Node2vec(12, 0.5, 2.0))
+        walkers <- Seq(101, 3, 0)
+      } {
+        val serial = (0L until walkers.toLong).map { wid =>
           Walks.walkPath(eng, app, (wid % v).toInt, Walks.walkerRng(4L, wid)).length - 1L
         }.sum
-        assert(Bench.runWalksSpark(spark, "walks-spec-2", app, 101, seed = 4L)._1 == serial, app.label)
+        assert(Bench.runWalksSpark(spark, "walks-spec-2", app, walkers, seed = 4L)._1 == serial, s"${app.label} $walkers")
       }
-      // fewer walkers than tasks leaves some tasks with no walker; none leaves all
-      val few = (0L until 3L).map { wid =>
-        Walks.walkPath(eng, Walks.DeepWalk(12), (wid % v).toInt, Walks.walkerRng(4L, wid)).length - 1L
-      }.sum
-      assert(few > 0)
-      assert(Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 3, seed = 4L)._1 == few)
-      assert(Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 0, seed = 4L)._1 == 0L)
     } finally GraphStore.remove("walks-spec-2")
   }
 
