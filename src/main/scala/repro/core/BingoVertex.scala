@@ -58,9 +58,6 @@ final class BingoVertex(
   def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot) & ~DecimalBit
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
 
-  /** Total λ-scaled mass Σ(int + dec) — the sampling normaliser. */
-  def totalMass: Double = groups.iterator.map(weight).sum
-
   /** Streaming insertion (§4.2, Fig. 5): a batch of one. O(K). */
   def insert(dst: Int, bias: Double): Unit = applyBatch(Array(dst), Array(bias), Array(true), 0, 1)
 
@@ -159,18 +156,9 @@ final class BingoVertex(
 
   // ---- Introspection for tests, stats and memory accounting -------------
 
-  /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */
-  def expectedProbabilityOf(dst: Int): Double = {
-    var s = firstSlotOf(dst)
-    if (s < 0) return 0.0
-    var w = 0.0
-    while (s >= 0) { w += scaledIntBiasAt(s).toDouble + decimalAt(s); s = nextSlotOf(s) }
-    w / totalMass
-  }
-
   /** Probability of `dst` *derived from the live data structures* (Eq. 7):
     * Σ_k P(p_k)·P(slot|p_k) over the alias table and group contents. By
-    * Theorem 4.1 this must equal [[expectedProbabilityOf]] exactly.
+    * Theorem 4.1 this must equal w/Σw over the slots' biases (Eq. 2) exactly.
     */
   def structProbabilityOf(dst: Int): Double = {
     var p = 0.0
@@ -546,18 +534,5 @@ object BingoVertex {
       case GroupType.Sparse => Heap.array(list.length, 4) + invMap.memoryBytes
       case GroupType.Regular => Heap.array(list.length, 4) + Heap.array(inv.length, 4)
     })
-  }
-
-  /** Build a vertex sampler from scratch: `neighbors` as one insert batch. */
-  def build(
-      neighbors: Seq[(Int, Double)],
-      adaptive: Boolean = true,
-      lambda: Double = 1.0,
-      conversions: ConversionStats = null,
-  ): BingoVertex = {
-    val v = new BingoVertex(adaptive = adaptive, lambda = lambda, conversions = conversions)
-    val n = neighbors.size
-    v.applyBatch(neighbors.map(_._1).toArray, neighbors.map(_._2).toArray, Array.fill(n)(true), 0, n)
-    v
   }
 }

@@ -16,11 +16,11 @@ import repro.walk.Walks
   * [[repro.engine.UpdateBatch]] (validated and grouped by vertex on the
   * driver, the same batch `applyRoundLocal` applies as one slice), applies
   * it per vertex and then runs its slice of the engine's per-round
-  * rebuild. Walks fan out the same way: task s walks a contiguous range of
-  * walker ids. Each job is one `sc.runJob` over one `sc.parallelize` RDD
-  * with a `(TaskContext, Iterator)` task function: every further RDD layer
-  * or Spark-side wrapper closure (`collect`, `range`, `mapPartitions`) cost
-  * about 4 ms per job on a 4-vCPU box.
+  * rebuild. Walks fan out the same way in [[Walks.runWalkers]]: task s
+  * walks a contiguous range of walker ids. Each job is one `sc.runJob` over
+  * one `sc.parallelize` RDD with a `(TaskContext, Iterator)` task function:
+  * every further RDD layer or Spark-side wrapper closure (`collect`,
+  * `range`, `mapPartitions`) cost about 4 ms per job on a 4-vCPU box.
   *
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
@@ -80,8 +80,8 @@ object Bench {
     taskNanos.max / 1e9
   }
 
-  /** Run the walk phase, returning (steps sampled, critical-path seconds).
-    * Task s walks the contiguous walker ids `[s·walkers/p, (s+1)·walkers/p)`.
+  /** Run the walk phase as one [[Walks.runWalkers]] job, returning (steps
+    * sampled, critical-path seconds).
     */
   def runWalksSpark(
       spark: SparkSession,
@@ -90,20 +90,12 @@ object Bench {
       walkers: Int,
       seed: Long,
   ): (Long, Double) = {
-    val sc = spark.sparkContext
-    val p = math.max(1, sc.defaultParallelism)
-    val perTask = sc.runJob(sc.parallelize(0 until p, p), (ctx: TaskContext, _: Iterator[Int]) => {
-      val s = ctx.partitionId()
-      val eng = GraphStore.get(handle)
+    val perTask = Walks.runWalkers(spark, handle, app, walkers, seed) { walks =>
       val t0 = System.nanoTime()
       var steps = 0L
-      (s.toLong * walkers / p until (s + 1L) * walkers / p).foreach { wid =>
-        val rng = Walks.walkerRng(seed, wid)
-        val start = (wid % eng.numVertices).toInt
-        steps += Walks.walkPath(eng, app, start, rng).length - 1
-      }
+      walks.foreach { case (_, path) => steps += path.length - 1 }
       (steps, System.nanoTime() - t0)
-    })
+    }
     (perTask.map(_._1).sum, perTask.map(_._2).max / 1e9)
   }
 

@@ -113,12 +113,4 @@ object GraphGen {
     val rnd = new Random(seed)
     g.copy(edges = g.edges.map(e => e.copy(bias = e.bias + rnd.nextDouble())))
   }
-
-  /** Small hand-rolled graph for unit tests (the paper's running example,
-    * Fig. 1/4: vertex 2 has neighbors 1, 4, 5 with biases 5, 4, 3).
-    */
-  def runningExample: Vector[Edge] = Vector(
-    Edge(2, 1, 5), Edge(2, 4, 4), Edge(2, 5, 3),
-    Edge(1, 2, 2), Edge(4, 2, 1), Edge(5, 2, 1), Edge(3, 2, 1),
-  )
 }

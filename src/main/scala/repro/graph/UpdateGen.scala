@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -20,34 +19,7 @@ object UpdateGen {
       mode: UpdateMode,
       initialEdges: Vector[Edge],
       rounds: Vector[Vector[Update]],
-  ) {
-    def allUpdates: Vector[Update] = rounds.flatten
-
-    /** Ground-truth edge multiset after applying `k` rounds sequentially. */
-    def edgeMultisetAfter(k: Int): Map[(Int, Int, Double), Int] = {
-      val counts = new java.util.HashMap[(Int, Int, Double), Int]()
-      initialEdges.foreach(e => counts.merge((e.src, e.dst, e.bias), 1, (a: Int, b: Int) => a + b))
-      rounds.take(k).flatten.foreach { u =>
-        // deletions match on (src,dst) only — earliest surviving instance;
-        // our protocol never re-inserts the same (src,dst) with a different
-        // bias, so keying deletes by the recorded bias is exact.
-        val key = (u.src, u.dst, u.bias)
-        if (u.insert) counts.merge(key, 1, (a: Int, b: Int) => a + b)
-        else {
-          val c = counts.getOrDefault(key, 0)
-          require(c > 0, s"protocol bug: delete of absent edge $key")
-          if (c == 1) counts.remove(key) else counts.put(key, c - 1)
-        }
-      }
-      import scala.jdk.CollectionConverters._
-      counts.asScala.toMap
-    }
-
-    def updatesDF(spark: SparkSession): DataFrame = {
-      import spark.implicits._
-      allUpdates.toDF()
-    }
-  }
+  )
 
   /** Build a plan per the paper's 3-step protocol. Deterministic in `seed`. */
   def plan(

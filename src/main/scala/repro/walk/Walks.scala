@@ -1,6 +1,8 @@
 package repro.walk
 
 import java.util.SplittableRandom
+import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.engine.{GraphStore, WalkEngine}
@@ -9,12 +11,13 @@ import repro.engine.{GraphStore, WalkEngine}
   *
   * Mirrors Bingo's kernels: random_walk_deepwalk, random_walk_node2vec,
   * random_walk_ppr and random_walk_simple_sampling. [[walkPath]] walks one
-  * walker against an engine; [[paths]] fans walkers out across Spark tasks
-  * (partitioned across cores — the stand-in for GPU thread parallelism), each
-  * walking locally against the engine registered in [[GraphStore]], and
-  * returns the paths as a DataFrame for relational aggregation (visit counts
-  * etc.). The benchmark's step-counting fan-out is
-  * [[repro.eval.Bench.runWalksSpark]].
+  * walker against an engine, in one loop for all four apps. [[runWalkers]]
+  * fans walkers out across Spark tasks (partitioned across cores — the
+  * stand-in for GPU thread parallelism), each walking locally against the
+  * engine registered in [[GraphStore]]. Its consumers are
+  * [[repro.eval.Bench.runWalksSpark]], which counts and times the steps, and
+  * [[paths]], which returns the paths as a DataFrame for relational
+  * aggregation (visit counts etc.).
   */
 object Walks {
 
@@ -46,102 +49,87 @@ object Walks {
   /** One-step neighbor sampling (the simple_sampling kernel). */
   case object SimpleSampling extends WalkApp { def label = "SimpleSampling" }
 
-  /** Walk one path; the first entry is the start vertex. Pure driver/task code. */
+  private val InitialPathCap = 96 // PPR's mean path at stopProb 1/80 holds 80 vertices
+
+  /** Walk one path; the first entry is the start vertex. Pure driver/task code.
+    * It ends at the app's maximum length, at a dead end or (PPR) on a stop drawn before each hop.
+    */
   def walkPath(eng: WalkEngine, app: WalkApp, start: Int, rng: SplittableRandom): Array[Int] = {
+    var maxLength = 2 // SimpleSampling: one hop
+    var stopProb = -1.0 // PPR: the stop drawn before each hop; < 0: none
+    var p, q = 0.0 // node2vec: p > 0 makes every hop after the first second-order
     app match {
-      case DeepWalk(length) =>
-        val path = new Array[Int](length)
-        path(0) = start
-        var cur = start
-        var i = 1
-        while (i < length) {
-          val nxt = eng.sampleNext(cur, rng)
-          if (nxt < 0) return java.util.Arrays.copyOf(path, i)
-          path(i) = nxt
-          cur = nxt
-          i += 1
-        }
-        path
-
-      case Node2vec(length, p, q) =>
-        val path = new Array[Int](length)
-        path(0) = start
-        var prev = -1
-        var cur = start
-        var i = 1
-        val maxF = math.max(1.0, math.max(1.0 / p, 1.0 / q))
-        while (i < length) {
-          var nxt = -1
-          if (prev < 0) {
-            nxt = eng.sampleNext(cur, rng) // first hop is first-order
-          } else {
-            // KnightKing-style rejection on the walk history (Eq. 1)
-            var accepted = false
-            var tries = 0
-            while (!accepted && tries < 10000) {
-              val cand = eng.sampleNext(cur, rng)
-              if (cand < 0) { accepted = true; nxt = -1 }
-              else {
-                val f =
-                  if (cand == prev) 1.0 / p
-                  else if (eng.hasEdge(prev, cand)) 1.0
-                  else 1.0 / q
-                if (rng.nextDouble() * maxF < f) { accepted = true; nxt = cand }
-              }
-              tries += 1
-            }
-          }
-          if (nxt < 0) return java.util.Arrays.copyOf(path, i)
-          path(i) = nxt
-          prev = cur
-          cur = nxt
-          i += 1
-        }
-        path
-
-      case Ppr(stopProb, maxLength) =>
-        val buf = new scala.collection.mutable.ArrayBuffer[Int](96)
-        buf += start
-        var cur = start
-        var i = 1
-        while (i < maxLength && rng.nextDouble() >= stopProb) {
-          val nxt = eng.sampleNext(cur, rng)
-          if (nxt < 0) return buf.toArray
-          buf += nxt
-          cur = nxt
-          i += 1
-        }
-        buf.toArray
-
+      case DeepWalk(length) => maxLength = length
+      case Node2vec(length, np, nq) => maxLength = length; p = np; q = nq
+      case Ppr(stop, length) => maxLength = length; stopProb = stop
       case SimpleSampling =>
-        val nxt = eng.sampleNext(start, rng)
-        if (nxt < 0) Array(start) else Array(start, nxt)
     }
+    var path = new Array[Int](math.min(maxLength, InitialPathCap))
+    path(0) = start
+    var i = 1
+    var nxt = start // < 0 after a dead end
+    while (nxt >= 0 && i < maxLength && (stopProb < 0 || rng.nextDouble() >= stopProb)) {
+      val cur = path(i - 1)
+      nxt = if (p > 0 && i > 1) secondOrderHop(eng, path(i - 2), cur, p, q, rng) else eng.sampleNext(cur, rng)
+      if (nxt >= 0) {
+        if (i == path.length) path = java.util.Arrays.copyOf(path, math.min(2 * i, maxLength))
+        path(i) = nxt
+        i += 1
+      }
+    }
+    if (i == path.length) path else java.util.Arrays.copyOf(path, i)
+  }
+
+  /** One node2vec hop from `cur` after `prev`: KnightKing-style rejection on
+    * the walk history (Eq. 1). -1 at a dead end or after 10,000 tries.
+    */
+  private def secondOrderHop(eng: WalkEngine, prev: Int, cur: Int, p: Double, q: Double, rng: SplittableRandom): Int = {
+    val maxF = math.max(1.0, math.max(1.0 / p, 1.0 / q))
+    var tries = 0
+    while (tries < 10000) {
+      val cand = eng.sampleNext(cur, rng)
+      if (cand < 0) return -1
+      val f = if (cand == prev) 1.0 / p else if (eng.hasEdge(prev, cand)) 1.0 else 1.0 / q
+      if (rng.nextDouble() * maxF < f) return cand
+      tries += 1
+    }
+    -1
   }
 
   /** Deterministic per-walker RNG. */
   def walkerRng(seed: Long, walkerId: Long): SplittableRandom =
     new SplittableRandom(seed ^ (walkerId * 0x9E3779B97F4A7C15L))
 
-  /** Fan `numWalkers` walkers out across Spark tasks; walker `w` starts at
-    * vertex `w mod |V|` (the paper launches vertex-count walkers).
-    *
-    * @return DataFrame (walker: long, pos: int, vertex: int) — one row per
-    *         visited vertex in path order
+  /** Fan `walkers` walkers out as one Spark job: one `sc.runJob` over one
+    * `sc.parallelize` RDD of p partitions. Task s walks the walker ids
+    * `[s·walkers/p, (s+1)·walkers/p)`; walker `w` starts at vertex
+    * `w mod |V|` (the paper launches vertex-count walkers) and draws from
+    * `walkerRng(seed, w)`. `consume` sees a task's `(w, path)` pairs as they
+    * are walked and returns that task's result.
+    */
+  def runWalkers[R: ClassTag](spark: SparkSession, handle: String, app: WalkApp, walkers: Int, seed: Long)(
+      consume: Iterator[(Long, Array[Int])] => R
+  ): Array[R] = {
+    val sc = spark.sparkContext
+    val p = math.max(1, sc.defaultParallelism)
+    sc.runJob(sc.parallelize(0 until p, p), (ctx: TaskContext, _: Iterator[Int]) => {
+      val s = ctx.partitionId()
+      val eng = GraphStore.get(handle)
+      consume((s.toLong * walkers / p until (s + 1L) * walkers / p).iterator.map { w =>
+        w -> walkPath(eng, app, (w % eng.numVertices).toInt, walkerRng(seed, w))
+      })
+    })
+  }
+
+  /** The walkers' paths from [[runWalkers]], collected to the driver as a DataFrame
+    * (walker: long, pos: int, vertex: int), one row per visited vertex in path order.
     */
   def paths(spark: SparkSession, handle: String, app: WalkApp, numWalkers: Int, seed: Long): DataFrame = {
     import spark.implicits._
-    spark
-      .range(numWalkers)
-      .mapPartitions { it =>
-        val eng = GraphStore.get(handle)
-        it.flatMap { wid =>
-          val rng = walkerRng(seed, wid)
-          val start = (wid % eng.numVertices).toInt
-          walkPath(eng, app, start, rng).iterator.zipWithIndex.map { case (v, pos) => (wid, pos, v) }
-        }
-      }
-      .toDF("walker", "pos", "vertex")
+    val rows = runWalkers(spark, handle, app, numWalkers, seed) { walks =>
+      walks.flatMap { case (w, path) => path.iterator.zipWithIndex.map { case (v, pos) => (w, pos, v) } }.toArray
+    }
+    rows.toSeq.flatten.toDF("walker", "pos", "vertex")
   }
 
   /** Visit frequency per vertex — the PPR / SimRank / influence indicator

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance
 import scala.util.Random
 import repro.StatCheck
+import repro.core.Vertices.{expectedProbabilityOf, totalMass}
 
 /** Targeted tests for the batched two-phase delete-and-swap (paper §5.2,
   * Fig. 10b) and the floating-point bias mode (paper §4.3).
@@ -14,7 +15,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("two-phase: deleting tail elements only (the Fig. 10b hazard)") {
     // all deleted entries sit in the tail window — fillers must not be doomed
-    val v = BingoVertex.build((0 until 10).map(i => (i, 4.0))) // all in one group
+    val v = Vertices.build((0 until 10).map(i => (i, 4.0))) // all in one group
     val dels = Seq(9, 8, 7) // the whole tail window is doomed
     Batch(v, Seq.empty, dels)
     v.validate()
@@ -23,7 +24,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("two-phase: mixed front and tail deletions") {
-    val v = BingoVertex.build((0 until 10).map(i => (i, 4.0)))
+    val v = Vertices.build((0 until 10).map(i => (i, 4.0)))
     Batch(v, Seq.empty, Seq(0, 9, 1, 8)) // 2 front + 2 tail doomed
     v.validate()
     assert(v.degree == 6)
@@ -32,7 +33,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("two-phase: delete everything") {
-    val v = BingoVertex.build((0 until 12).map(i => (i, (i + 1).toDouble)))
+    val v = Vertices.build((0 until 12).map(i => (i, (i + 1).toDouble)))
     Batch(v, Seq.empty, 0 until 12)
     v.validate()
     assert(v.degree == 0)
@@ -40,27 +41,27 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("two-phase: delete all but one") {
-    val v = BingoVertex.build((0 until 12).map(i => (i, 7.0)))
+    val v = Vertices.build((0 until 12).map(i => (i, 7.0)))
     Batch(v, Seq.empty, 1 until 12)
     v.validate()
     assert(v.degree == 1)
     assert(v.contains(0))
-    assert(v.expectedProbabilityOf(0) === 1.0 +- 1e-12)
+    assert(expectedProbabilityOf(v, 0) === 1.0 +- 1e-12)
   }
 
   test("batch insert of previously deleted edge in same batch (timestamp rule)") {
-    val v = BingoVertex.build(Seq((1, 3.0), (2, 5.0)))
+    val v = Vertices.build(Seq((1, 3.0), (2, 5.0)))
     // delete existing (1) and re-insert it with a new bias in the same batch:
     // the insert lands first (paper order), the delete then removes the
     // *earlier* instance, leaving the new one.
     Batch(v, Seq((1, 9.0)), Seq(1))
     v.validate()
     assert(v.degree == 2)
-    assert(v.expectedProbabilityOf(1) === 9.0 / 14 +- 1e-12)
+    assert(expectedProbabilityOf(v, 1) === 9.0 / 14 +- 1e-12)
   }
 
   test("applyBatch reads only its column range and applies the range's inserts before its deletes") {
-    val v = BingoVertex.build(Seq((2, 1.0)))
+    val v = Vertices.build(Seq((2, 1.0)))
     // the range [1, 3) lists the delete of (1) before the insert of (1): the
     // insert lands first, so the delete finds it; the entries outside the
     // range (deletes of 2) are not read
@@ -71,7 +72,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("batch deletes of absent edges are counted but harmless") {
-    val v = BingoVertex.build(Seq((1, 3.0)))
+    val v = Vertices.build(Seq((1, 3.0)))
     val applied = Batch(v, Seq.empty, Seq(42, 1, 42))
     assert(applied == 1)
     v.validate()
@@ -94,7 +95,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
       val rnd = new Random(600 + seed)
       val n = 40 + rnd.nextInt(60)
       val ns = (0 until n).map(i => (i, (1 + rnd.nextInt(1023)).toDouble))
-      val v = BingoVertex.build(ns)
+      val v = Vertices.build(ns)
       val dels = rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1))
       Batch(v, Seq.empty, dels)
       v.validate()
@@ -110,9 +111,9 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   private def assertExact(v: BingoVertex, seed: Long): Unit = {
     v.validate()
     val dsts = (0 until v.degree).map(v.dstAt).distinct
-    dsts.foreach(x => StatCheck.assertProbEqual(v.structProbabilityOf(x), v.expectedProbabilityOf(x), 1e-9))
+    dsts.foreach(x => StatCheck.assertProbEqual(v.structProbabilityOf(x), expectedProbabilityOf(v, x), 1e-9))
     if (dsts.nonEmpty)
-      StatCheck.assertMatches(dsts.map(x => x -> v.expectedProbabilityOf(x)).toMap, 200000, seed, tol = 0.02)(v.sample)
+      StatCheck.assertMatches(dsts.map(x => x -> expectedProbabilityOf(v, x)).toMap, 200000, seed, tol = 0.02)(v.sample)
   }
 
   for (lambda <- Seq(1.0, 10.0); seed <- 0 until 8) {
@@ -132,7 +133,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
       assert(decimals == n && v.groupCountOf(BingoVertex.DecimalGroup) == n - dels.size)
       val live = ns.filterNot(x => dels.contains(x._1))
       val tot = live.map(_._2 * lambda).sum
-      live.foreach { case (d, b) => StatCheck.assertProbEqual(v.expectedProbabilityOf(d), b * lambda / tot, 1e-9) }
+      live.foreach { case (d, b) => StatCheck.assertProbEqual(expectedProbabilityOf(v, d), b * lambda / tot, 1e-9) }
     }
   }
 
@@ -140,7 +141,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     val rnd = new Random(81)
     // 12 of 20 slots carry a decimal (> 40%), some of them with no integer part
     val ns = (0 until 20).map(i => (i, if (i < 12) i % 3 + 0.05 + 0.9 * rnd.nextDouble() else (i + 1).toDouble))
-    val v = BingoVertex.build(ns)
+    val v = Vertices.build(ns)
     assert(v.groupTypeOf(BingoVertex.DecimalGroup).contains(GroupType.Dense))
     assertExact(v, 82)
     // one batch deletes most decimal members: the group converts and stays exact
@@ -151,7 +152,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("a One-element decimal group, grown and emptied") {
-    val v = BingoVertex.build((0 until 10).map(i => (i, (i + 1).toDouble)) :+ ((10, 2.75)))
+    val v = Vertices.build((0 until 10).map(i => (i, (i + 1).toDouble)) :+ ((10, 2.75)))
     assert(v.groupTypeOf(BingoVertex.DecimalGroup).contains(GroupType.OneElement))
     assertExact(v, 84)
     v.insert(11, 0.4)
@@ -176,7 +177,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.groupCountOf(2) == 2) // 5 and 7
     assert(v.groupCountOf(BingoVertex.DecimalGroup) == 3) // decimals .54, .26, .20
     val tot = 5.54 + 7.26 + 3.20
-    assert(v.expectedProbabilityOf(1) === 5.54 / tot +- 1e-9)
+    assert(expectedProbabilityOf(v, 1) === 5.54 / tot +- 1e-9)
     assert(v.structProbabilityOf(1) === 5.54 / tot +- 1e-9)
     assert(v.structProbabilityOf(4) === 7.26 / tot +- 1e-9)
     assert(v.structProbabilityOf(5) === 3.20 / tot +- 1e-9)
@@ -229,7 +230,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     v.validate()
     // decimal group weight / total mass < 1/d  =>  O(1) expected sampling
     val decMass = biases.map(b => { val (_, dec) = Radix.scaleFloat(b, lambda); dec }).sum
-    assert(decMass / v.totalMass < 1.0 / v.degree)
+    assert(decMass / totalMass(v) < 1.0 / v.degree)
     // distribution still exact
     val tot = biases.map(_ * lambda).sum
     biases.zipWithIndex.foreach { case (b, i) =>
@@ -238,7 +239,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("biases whose λ-scaled integer part overflows a Long are rejected") {
-    val v = BingoVertex.build(Seq((1, 3.0), (2, 5.0)))
+    val v = Vertices.build(Seq((1, 3.0), (2, 5.0)))
     intercept[IllegalArgumentException](v.insert(3, 1e19))
     intercept[IllegalArgumentException](v.insert(3, Double.PositiveInfinity))
     intercept[IllegalArgumentException](new BingoVertex(lambda = 10.0).insert(3, 1e18))
@@ -253,7 +254,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("float vs integer: λ-scaled integer biases equal pure integer mode") {
     val ws = Seq(5.0, 4.0, 3.0)
-    val vi = BingoVertex.build(ws.zipWithIndex.map { case (b, i) => (i, b) })
+    val vi = Vertices.build(ws.zipWithIndex.map { case (b, i) => (i, b) })
     val vf = new BingoVertex(lambda = 4.0) // λ·w stays integral
     ws.zipWithIndex.foreach { case (b, i) => vf.insert(i, b) }
     ws.indices.foreach { i =>

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance
 import scala.util.Random
 import repro.StatCheck
+import repro.core.Vertices.{expectedProbabilityOf, totalMass}
 
 /** Core unit tests of the radix-factorized per-vertex sampler (paper §4–5). */
 class BingoVertexSpec extends AnyFunSuite with Tolerance {
@@ -19,7 +20,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     var total = 0.0
     dsts.foreach { d =>
       val structural = v.structProbabilityOf(d)
-      val expected = v.expectedProbabilityOf(d)
+      val expected = expectedProbabilityOf(v, d)
       StatCheck.assertProbEqual(structural, expected, 1e-9)
       total += structural
     }
@@ -29,35 +30,35 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   // ---------------- paper running example (Fig. 4) ----------------
 
   test("running example: groups of vertex 2 are 2^0={5,3}, 2^1={3}, 2^2={5,4}") {
-    val v = BingoVertex.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
+    val v = Vertices.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
     assert(v.activeGroupBits == Seq(0, 1, 2))
     assert(v.groupCountOf(0) == 2) // biases 5 and 3 have bit 0
     assert(v.groupCountOf(1) == 1) // bias 3 has bit 1
     assert(v.groupCountOf(2) == 2) // biases 5 and 4 have bit 2
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(1) === 5.0 / 12 +- 1e-12)
-    assert(v.expectedProbabilityOf(4) === 4.0 / 12 +- 1e-12)
-    assert(v.expectedProbabilityOf(5) === 3.0 / 12 +- 1e-12)
+    assert(expectedProbabilityOf(v, 1) === 5.0 / 12 +- 1e-12)
+    assert(expectedProbabilityOf(v, 4) === 4.0 / 12 +- 1e-12)
+    assert(expectedProbabilityOf(v, 5) === 3.0 / 12 +- 1e-12)
   }
 
   test("running example: empirical sampling matches biases") {
-    val v = BingoVertex.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
+    val v = Vertices.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
     val exp = Map(1 -> 5.0 / 12, 4 -> 4.0 / 12, 5 -> 3.0 / 12)
     StatCheck.assertMatches(exp, 200000, seed = 31, tol = 0.01)(v.sample)
   }
 
   test("running example insertion (Fig. 5): edge (2,3,3) joins groups 2^0 and 2^1") {
-    val v = BingoVertex.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
+    val v = Vertices.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
     v.insert(3, 3.0)
     assert(v.groupCountOf(0) == 3)
     assert(v.groupCountOf(1) == 2)
     assert(v.groupCountOf(2) == 2)
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(3) === 3.0 / 15 +- 1e-12)
+    assert(expectedProbabilityOf(v, 3) === 3.0 / 15 +- 1e-12)
   }
 
   test("running example deletion (Fig. 6): removing (2,1,5) updates groups 2^0 and 2^2") {
-    val v = BingoVertex.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
+    val v = Vertices.build(Seq((1, 5.0), (4, 4.0), (5, 3.0)))
     assert(v.delete(1))
     assert(v.degree == 2)
     assert(v.groupCountOf(0) == 1)
@@ -65,8 +66,8 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     assert(v.groupCountOf(2) == 1)
     assert(!v.contains(1))
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(4) === 4.0 / 7 +- 1e-12)
-    assert(v.expectedProbabilityOf(5) === 3.0 / 7 +- 1e-12)
+    assert(expectedProbabilityOf(v, 4) === 4.0 / 7 +- 1e-12)
+    assert(expectedProbabilityOf(v, 5) === 3.0 / 7 +- 1e-12)
   }
 
   // ---------------- streaming edge cases ----------------
@@ -78,7 +79,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   }
 
   test("delete of absent neighbor returns false") {
-    val v = BingoVertex.build(Seq((1, 2.0)))
+    val v = Vertices.build(Seq((1, 2.0)))
     assert(!v.delete(99))
     assert(v.delete(1))
     assert(!v.delete(1))
@@ -87,10 +88,10 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   }
 
   test("delete last remaining neighbor empties all groups") {
-    val v = BingoVertex.build(Seq((7, 13.0)))
+    val v = Vertices.build(Seq((7, 13.0)))
     assert(v.delete(7))
     assert(v.activeGroupBits.isEmpty)
-    assert(v.totalMass === 0.0 +- 1e-12)
+    assert(totalMass(v) === 0.0 +- 1e-12)
   }
 
   test("duplicate edges: both instances carry mass; deletes remove earliest first") {
@@ -98,7 +99,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     v.insert(5, 3.0)
     v.insert(5, 8.0)
     assert(v.degree == 2)
-    assert(v.expectedProbabilityOf(5) === 1.0 +- 1e-12)
+    assert(expectedProbabilityOf(v, 5) === 1.0 +- 1e-12)
     checkTheorem41(v)
     // earliest (bias 3) goes first
     assert(v.delete(5))
@@ -113,24 +114,24 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     v.insert(1, 1.0); v.insert(2, 2.0); v.insert(1, 4.0); v.insert(1, 8.0)
     v.delete(1) // removes bias-1 instance
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(1) === 12.0 / 14 +- 1e-12)
+    assert(expectedProbabilityOf(v, 1) === 12.0 / 14 +- 1e-12)
     v.delete(1) // removes bias-4 instance
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(1) === 8.0 / 10 +- 1e-12)
+    assert(expectedProbabilityOf(v, 1) === 8.0 / 10 +- 1e-12)
   }
 
   test("power-of-two bias occupies exactly one group") {
-    val v = BingoVertex.build(Seq((1, 16.0)))
+    val v = Vertices.build(Seq((1, 16.0)))
     assert(v.activeGroupBits == Seq(4))
     assert(v.groupCountOf(4) == 1)
     assert(v.groupTypeOf(4).contains(GroupType.OneElement))
   }
 
   test("large biases use high radix groups") {
-    val v = BingoVertex.build(Seq((1, math.pow(2, 40)), (2, 3.0)))
+    val v = Vertices.build(Seq((1, math.pow(2, 40)), (2, 3.0)))
     assert(v.activeGroupBits.contains(40))
     checkTheorem41(v)
-    assert(v.expectedProbabilityOf(1) > 0.999999)
+    assert(expectedProbabilityOf(v, 1) > 0.999999)
   }
 
   test("streaming inserts grow capacity and keep regular inverted indexes valid") {
@@ -164,7 +165,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
 
   test("dense group: odd biases put >40% of neighbors in group 2^0") {
     // 10 neighbors, all odd biases -> bit 0 group has 100% of them
-    val v = BingoVertex.build((0 until 10).map(i => (i, (2 * i + 1).toDouble)))
+    val v = Vertices.build((0 until 10).map(i => (i, (2 * i + 1).toDouble)))
     assert(v.groupTypeOf(0).contains(GroupType.Dense))
     checkTheorem41(v)
     val exp = (0 until 10).map(i => i -> (2 * i + 1).toDouble / 100.0).toMap
@@ -174,7 +175,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   test("sparse group representation used for rare high bits") {
     // 50 neighbors with bias 1, two with bias 64+1
     val ns = (0 until 50).map(i => (i, 1.0)) ++ Seq((100, 65.0), (101, 65.0))
-    val v = BingoVertex.build(ns)
+    val v = Vertices.build(ns)
     assert(v.groupTypeOf(6).contains(GroupType.Sparse), s"got ${v.groupTypeOf(6)}")
     checkTheorem41(v)
   }
@@ -182,8 +183,8 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   test("adaptive vs baseline: identical distributions, smaller memory") {
     val rnd = new Random(66)
     val ns = (0 until 300).map(i => (i, (1 + rnd.nextInt(1000)).toDouble))
-    val va = BingoVertex.build(ns, adaptive = true)
-    val vb = BingoVertex.build(ns, adaptive = false)
+    val va = Vertices.build(ns, adaptive = true)
+    val vb = Vertices.build(ns, adaptive = false)
     checkTheorem41(va)
     checkTheorem41(vb)
     ns.foreach { case (d, _) =>
@@ -219,16 +220,16 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   // ---------------- memory accounting ----------------
 
   test("memoryBytes grows with degree") {
-    val small = BingoVertex.build((0 until 8).map(i => (i, (i + 1).toDouble)))
-    val big = BingoVertex.build((0 until 256).map(i => (i, (i + 1).toDouble)))
+    val small = Vertices.build((0 until 8).map(i => (i, (i + 1).toDouble)))
+    val big = Vertices.build((0 until 256).map(i => (i, (i + 1).toDouble)))
     assert(big.memoryBytes > small.memoryBytes)
   }
 
   test("dense groups store nothing (memory saving of §5.1)") {
     // all neighbors odd bias: group 2^0 dense in adaptive mode
     val ns = (0 until 64).map(i => (i, (2 * i + 1).toDouble))
-    val va = BingoVertex.build(ns, adaptive = true)
-    val vb = BingoVertex.build(ns, adaptive = false)
+    val va = Vertices.build(ns, adaptive = true)
+    val vb = Vertices.build(ns, adaptive = false)
     assert(va.memoryBytes < vb.memoryBytes)
   }
 
@@ -248,12 +249,12 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
   for ((name, biases) <- biasSets; adaptive <- Seq(true, false)) {
     val tag = s"$name adaptive=$adaptive"
     test(s"build + Theorem 4.1 [$tag]") {
-      val v = BingoVertex.build(biases.zipWithIndex.map { case (b, i) => (i, b) }, adaptive = adaptive)
+      val v = Vertices.build(biases.zipWithIndex.map { case (b, i) => (i, b) }, adaptive = adaptive)
       checkTheorem41(v)
     }
     test(s"delete half then re-insert preserves exactness [$tag]") {
       val ns = biases.zipWithIndex.map { case (b, i) => (i, b) }
-      val v = BingoVertex.build(ns, adaptive = adaptive)
+      val v = Vertices.build(ns, adaptive = adaptive)
       ns.zipWithIndex.filter(_._2 % 2 == 0).foreach { case ((d, _), _) => assert(v.delete(d)) }
       checkTheorem41(v)
       ns.zipWithIndex.filter(_._2 % 2 == 0).foreach { case ((d, b), _) => v.insert(d, b) }

@@ -13,7 +13,7 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
 
   /** A vertex with one neighbor per bias, dsts 0, 1, 2, … */
   private def vertexOf(biases: Seq[Long]): BingoVertex =
-    BingoVertex.build(biases.zipWithIndex.map { case (w, i) => (i, w.toDouble) })
+    Vertices.build(biases.zipWithIndex.map { case (w, i) => (i, w.toDouble) })
 
   /** W(p_k) = |G_k|·2^k of the live group `k` (Eq. 4). */
   private def groupWeight(v: BingoVertex, k: Int): Long = v.groupCountOf(k).toLong << k

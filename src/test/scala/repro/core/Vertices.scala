@@ -1,0 +1,26 @@
+package repro.core
+
+/** Test helpers over [[BingoVertex]]: a vertex built from a neighbor list,
+  * and the exact probabilities read off its slots' bias columns.
+  */
+object Vertices {
+
+  /** A vertex holding `neighbors` as (dst, bias), inserted as one batch. */
+  def build(neighbors: Seq[(Int, Double)], adaptive: Boolean = true): BingoVertex = {
+    val v = new BingoVertex(adaptive = adaptive)
+    Batch(v, neighbors, Nil)
+    v
+  }
+
+  /** λ-scaled weight of a slot: its integer part plus its decimal. */
+  private def weight(v: BingoVertex, slot: Int): Double = v.scaledIntBiasAt(slot).toDouble + v.decimalAt(slot)
+
+  /** Total λ-scaled mass Σw over the slots: the sampling normaliser. */
+  def totalMass(v: BingoVertex): Double = (0 until v.degree).map(weight(v, _)).sum
+
+  /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */
+  def expectedProbabilityOf(v: BingoVertex, dst: Int): Double = {
+    val w = (0 until v.degree).filter(v.dstAt(_) == dst).map(weight(v, _)).sum
+    if (w == 0) 0.0 else w / totalMass(v)
+  }
+}

@@ -82,8 +82,8 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       checkEngine(eng, plan.initialEdges, v)
       plan.rounds.zipWithIndex.foreach { case (round, k) =>
         eng.applyRoundLocal(round)
-        val liveEdges = plan
-          .edgeMultisetAfter(k + 1)
+        val liveEdges = Plans
+          .edgeMultisetAfter(plan, k + 1)
           .flatMap { case ((s, d, b), c) => Seq.fill(c)(Edge(s, d, b)) }
         checkEngine(eng, liveEdges, v)
       }
@@ -111,7 +111,7 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     val plan = UpdateGen.plan(edges, UpdateMode.Mixed, 20, 2, 10L)
     val engines = factories.map(_._1.build(v, plan.initialEdges))
     engines.foreach(e => plan.rounds.foreach(e.applyRoundLocal))
-    val live = plan.edgeMultisetAfter(2).keySet.map { case (s, d, _) => (s, d) }
+    val live = Plans.edgeMultisetAfter(plan, 2).keySet.map { case (s, d, _) => (s, d) }
     for (s <- 0 until v; d <- 0 until v) {
       val expect = live.contains((s, d))
       engines.foreach(e => assert(e.hasEdge(s, d) == expect, s"${e.name} ($s,$d)"))

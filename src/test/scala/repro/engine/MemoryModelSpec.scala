@@ -4,7 +4,7 @@ import java.lang.reflect.Modifier
 import org.apache.spark.util.SizeEstimator
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.{Batch, BingoVertex, GroupType}
+import repro.core.{Batch, BingoVertex, GroupType, Vertices}
 import repro.graph.GraphGen
 
 /** The hand-written `memoryBytes` models against Spark's `SizeEstimator`,
@@ -28,7 +28,7 @@ class MemoryModelSpec extends AnyFunSuite {
 
   test("BingoVertex fixed cost: an empty vertex retains ≤ 300 B, a one-neighbor vertex ≤ 560 B") {
     val empty = SizeEstimator.estimate(new BingoVertex)
-    val one = SizeEstimator.estimate(BingoVertex.build(Seq(7 -> 5.0)))
+    val one = SizeEstimator.estimate(Vertices.build(Seq(7 -> 5.0)))
     info(s"SizeEstimator: empty $empty B, one neighbor $one B")
     assert(empty <= 300, s"empty vertex retains $empty B")
     assert(one <= 560, s"one-neighbor vertex retains $one B")
@@ -41,9 +41,9 @@ class MemoryModelSpec extends AnyFunSuite {
       val doomed = nbrs.take(d / 4).map(_._1) // deleted after the build: capacity > degree
       val fractional = nbrs.map { case (x, w) => (x, w + rnd.nextDouble()) }
       val cases = Seq(
-        "Bingo adaptive" -> BingoVertex.build(nbrs),
-        "Bingo BS" -> BingoVertex.build(nbrs, adaptive = false),
-        "Bingo adaptive, float biases" -> BingoVertex.build(fractional),
+        "Bingo adaptive" -> Vertices.build(nbrs),
+        "Bingo BS" -> Vertices.build(nbrs, adaptive = false),
+        "Bingo adaptive, float biases" -> Vertices.build(fractional),
       )
       val adaptive = cases.head._2
       assert(adaptive.activeGroupBits.exists(k => adaptive.groupTypeOf(k).contains(GroupType.Sparse)))

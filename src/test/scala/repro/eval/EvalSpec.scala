@@ -152,9 +152,18 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       Bench.applyRoundSpark(spark, "eval-spec-shape", Seq(Update(1, insert = true, 2, 3, 1.0)))
       sc.setJobGroup("eval-spec-shape-walk", "walk")
       Bench.runWalksSpark(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
-      eventually(timeout(Span(30, Seconds))) { assert(shapes.size == 2) }
+      // Walks.paths walks through the same fan-out; its DataFrame is built on the driver
+      sc.setJobGroup("eval-spec-shape-paths", "paths")
+      Walks.paths(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
+      eventually(timeout(Span(30, Seconds))) { assert(shapes.size == 3) }
       // one stage per job, and that stage holds exactly one RDD
-      assert(shapes.asScala.toSeq == Seq("eval-spec-shape-update" -> Seq(1), "eval-spec-shape-walk" -> Seq(1)))
+      assert(
+        shapes.asScala.toSeq == Seq(
+          "eval-spec-shape-update" -> Seq(1),
+          "eval-spec-shape-walk" -> Seq(1),
+          "eval-spec-shape-paths" -> Seq(1),
+        )
+      )
     } finally {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)

@@ -103,8 +103,16 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** The paper's running example (Fig. 1/4): vertex 2 has neighbors 1, 4,
+    * 5 with biases 5, 4, 3.
+    */
+  private val runningExample: Vector[Edge] = Vector(
+    Edge(2, 1, 5), Edge(2, 4, 4), Edge(2, 5, 3),
+    Edge(1, 2, 2), Edge(4, 2, 1), Edge(5, 2, 1), Edge(3, 2, 1),
+  )
+
   test("running example matches paper Fig. 1/4") {
-    val ex = GraphGen.runningExample
+    val ex = runningExample
     val v2 = ex.filter(_.src == 2)
     assert(v2.map(e => (e.dst, e.bias)).toSet == Set((1, 5.0), (4, 4.0), (5, 3.0)))
   }

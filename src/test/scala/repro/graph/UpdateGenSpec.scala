@@ -23,7 +23,7 @@ class UpdateGenSpec extends AnyFunSuite with SparkSpec {
       assert(p.rounds.size == Rounds)
       p.rounds.foreach(r => assert(r.size == Batch))
       assert(p.initialEdges.size == graph.edges.size - Rounds * Batch)
-      assert(p.allUpdates.map(_.ts) == p.allUpdates.indices.map(_.toLong))
+      assert(Plans.allUpdates(p).map(_.ts) == Plans.allUpdates(p).indices.map(_.toLong))
     }
   }
 
@@ -34,27 +34,27 @@ class UpdateGenSpec extends AnyFunSuite with SparkSpec {
 
   test("insertion mode only inserts, from set B") {
     val p = mkPlan(UpdateMode.Insertion)
-    assert(p.allUpdates.forall(_.insert))
+    assert(Plans.allUpdates(p).forall(_.insert))
     val initialSet = p.initialEdges.map(e => (e.src, e.dst)).toSet
-    p.allUpdates.foreach(u => assert(!initialSet.contains((u.src, u.dst)), "insert must come from B"))
+    Plans.allUpdates(p).foreach(u => assert(!initialSet.contains((u.src, u.dst)), "insert must come from B"))
     // all B edges distinct
-    assert(p.allUpdates.map(u => (u.src, u.dst)).distinct.size == p.allUpdates.size)
+    assert(Plans.allUpdates(p).map(u => (u.src, u.dst)).distinct.size == Plans.allUpdates(p).size)
   }
 
   test("deletion mode only deletes, and only live edges") {
     val p = mkPlan(UpdateMode.Deletion)
-    assert(p.allUpdates.forall(!_.insert))
+    assert(Plans.allUpdates(p).forall(!_.insert))
     // sequential replay never deletes an absent edge (enforced inside)
-    val fin = p.edgeMultisetAfter(Rounds)
+    val fin = Plans.edgeMultisetAfter(p, Rounds)
     assert(fin.values.sum == p.initialEdges.size - Rounds * Batch)
   }
 
   test("mixed mode has both kinds and preserves validity") {
     val p = mkPlan(UpdateMode.Mixed)
-    assert(p.allUpdates.exists(_.insert))
-    assert(p.allUpdates.exists(!_.insert))
-    val fin = p.edgeMultisetAfter(Rounds) // would throw on an invalid delete
-    val ins = p.allUpdates.count(_.insert)
+    assert(Plans.allUpdates(p).exists(_.insert))
+    assert(Plans.allUpdates(p).exists(!_.insert))
+    val fin = Plans.edgeMultisetAfter(p, Rounds) // would throw on an invalid delete
+    val ins = Plans.allUpdates(p).count(_.insert)
     val del = Rounds * Batch - ins
     assert(fin.values.sum == p.initialEdges.size + ins - del)
   }
@@ -62,7 +62,7 @@ class UpdateGenSpec extends AnyFunSuite with SparkSpec {
   test("ground-truth multiset after each round is consistent") {
     val p = mkPlan(UpdateMode.Mixed)
     (0 to Rounds).foreach { k =>
-      val m = p.edgeMultisetAfter(k)
+      val m = Plans.edgeMultisetAfter(p, k)
       assert(m.values.forall(_ > 0))
     }
   }
@@ -80,7 +80,7 @@ class UpdateGenSpec extends AnyFunSuite with SparkSpec {
       val spark2 = spark
       import spark2.implicits._
       val initDF = p.initialEdges.toDF()
-      val updDF = p.updatesDF(spark).withColumnRenamed("insert", "is_insert")
+      val updDF = Plans.allUpdates(p).toDF().withColumnRenamed("insert", "is_insert")
       val sparkFinal = initDF
         .select($"src", $"dst", $"bias", lit(1L).as("delta"))
         .unionAll(updDF.select($"src", $"dst", $"bias", when($"is_insert", 1L).otherwise(-1L).as("delta")))
@@ -100,7 +100,7 @@ class UpdateGenSpec extends AnyFunSuite with SparkSpec {
         "updates" -> updDF,
       )
       // and the relational result equals the sequential ground truth
-      val seq = p.edgeMultisetAfter(Rounds)
+      val seq = Plans.edgeMultisetAfter(p, Rounds)
       val rel = sparkFinal
         .collect()
         .map(r => (r.getAs[Int]("src"), r.getAs[Int]("dst"), r.getAs[Double]("bias")) -> r.getAs[Long]("cnt").toInt)

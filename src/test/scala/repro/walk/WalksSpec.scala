@@ -211,6 +211,16 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(Walks.walkPath(eng, Walks.Ppr(0.0, 1), 0, rng).toSeq == Seq(0))
   }
 
+  test("node2vec gives up after 10,000 rejected tries and ends the walk there") {
+    // on the 2-cycle the only second-order candidate is the previous vertex,
+    // accepted w.p. (1/p)/max(1, 1/p, 1/q) = 1e-6 per try
+    val eng = BingoEngine.factory().build(2, Vector(Edge(0, 1, 1.0), Edge(1, 0, 1.0)))
+    (0 until 20).foreach { seed =>
+      val path = Walks.walkPath(eng, Walks.Node2vec(5, 1e3, 1e-3), 0, Walks.walkerRng(seed, 0))
+      assert(path.toSeq == Seq(0, 1), s"seed $seed")
+    }
+  }
+
   // ---------------- Spark fan-out + relational aggregation ----------------
 
   test("Spark paths: deterministic, correct shape, valid edges") {
