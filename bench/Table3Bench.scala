@@ -96,6 +96,6 @@ class Table3Bench extends AnyFunSuite with SparkSpec {
         check(kk <= bingo * 1.05, what, kk / bingo)
       }
     }
-    assert(failures.isEmpty, s"${failures.size} shape comparison(s) failed:\n${failures.mkString("\n")}")
+    if (failures.nonEmpty) fail(s"${failures.size} shape comparison(s) failed:\n${failures.mkString("\n")}")
   }
 }
