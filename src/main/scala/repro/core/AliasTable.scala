@@ -9,12 +9,13 @@ import java.util.SplittableRandom
   * each holding at most two candidates. Sampling draws a bucket uniformly and
   * then one of its (at most) two residents. Construction is O(n), sampling
   * O(1); any update requires a full O(n) rebuild, which is exactly why the
-  * paper's Bingo structure only ever builds alias tables over the *small*
-  * inter-group weight vector (≤ K ≈ 64 entries).
+  * paper's Bingo structure builds alias tables only over the *small*
+  * inter-group weight vector (≤ K ≈ 64 entries). Here it serves KnightKing
+  * and the Table 1 alias sampler.
   *
-  * The table also exposes [[probabilityOf]], the *exact* probability the
+  * The table also exposes [[probabilities]], the *exact* probability the
   * table assigns to each index — Vose's construction is exact, so tests can
-  * assert `probabilityOf(i) == w_i / Σw` deterministically instead of
+  * assert `probabilities(i) == w_i / Σw` deterministically instead of
   * statistically.
   */
 final class AliasTable private (
@@ -29,17 +30,6 @@ final class AliasTable private (
   def sample(rng: SplittableRandom): Int = {
     val bucket = rng.nextInt(prob.length)
     if (rng.nextDouble() < prob(bucket)) bucket else alias(bucket)
-  }
-
-  /** Exact probability of drawing index `i` (sums the bucket residues). */
-  def probabilityOf(i: Int): Double = {
-    var p = prob(i)
-    var j = 0
-    while (j < prob.length) {
-      if (j != i && alias(j) == i) p += 1.0 - prob(j)
-      j += 1
-    }
-    p / prob.length
   }
 
   /** Exact probabilities for all indices, normalised to sum to 1. */

@@ -12,10 +12,12 @@ import java.util.SplittableRandom
   * [[BingoVertex.DecimalGroup]] = 63, weighted by their sum: a positive
   * `Long` never sets bit 63, so that bit of a slot's bias word marks "has a
   * decimal" and the word is the slot's full group mask. Only the non-empty
-  * groups are stored, in ascending id. Sampling is hierarchical (§4.1): an
-  * inter-group alias table over those groups picks one in O(1), then
-  * uniform intra-group sampling picks a slot in O(1); in the decimal group
-  * the pick is accepted with probability `dec/max dec`.
+  * groups are stored, in ascending id. Sampling is hierarchical (§4.1): a
+  * scan of the prefix sums of those groups' weights picks one in O(K), K
+  * ≤ 64 fixed by the bias width (the paper uses an alias table here; a scan
+  * over ≤ K weights is rebuilt in place, with no per-batch allocation),
+  * then uniform intra-group sampling picks a slot in O(1); in the decimal
+  * group the pick is accepted with probability `dec/max dec`.
   * Every update goes through the paper's per-vertex insert → delete →
   * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
   * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs
@@ -44,10 +46,11 @@ final class BingoVertex(
 
   // ---- Groups: radix groups 0..62, the decimal group 63 -----------------
   // Only the non-empty groups are kept, in ascending id: bit k of `active` is
-  // set iff group k is non-empty, and entry i of `interAlias` is groups(i).
+  // set iff group k is non-empty, and cumWeight(i) is the summed weight of
+  // groups(0..i) (Eq. 5); null while there are no groups.
   private var groups: Array[Group] = NoGroups
   private var active = 0L
-  private var interAlias: AliasTable = null
+  private var cumWeight: Array[Double] = null
   private var decSum = 0.0 // weight of the decimal group
   private var decMax = 0.0 // largest decimal: its rejection bound
 
@@ -72,8 +75,8 @@ final class BingoVertex(
     * `from until until` of the `dst` / `bias` / `insert` columns, in
     * timestamp order. Insert all, delete all (two-phase parallel
     * delete-and-swap per group, Fig. 10b), then one rebuild pass that
-    * handles the touched groups' type conversions and the inter-group alias
-    * table. The only code that changes a vertex.
+    * handles the touched groups' type conversions and refills the group
+    * weights' prefix sums. The only code that changes a vertex.
     *
     * @return number of deletions actually applied
     */
@@ -112,19 +115,19 @@ final class BingoVertex(
     if (applied > 0) touchedBits |= deleteSlots(freed, applied)
 
     // -- rebuild phase: conversions of the touched groups (every dirty group
-    // was touched in this batch) + inter-group alias
+    // was touched in this batch) + the group weights' prefix sums
     var rest = touchedBits
     while (rest != 0) {
       reclassify(java.lang.Long.numberOfTrailingZeros(rest))
       rest &= rest - 1
     }
-    rebuildInterAlias()
+    rebuildCumWeight()
     applied
   }
 
-  /** Hierarchical O(1) sampling (§4.1): inter-group alias draw, then uniform
-    * (or dense-rejection) intra-group draw, and in the decimal group the
-    * rejection step of §4.3.
+  /** Hierarchical sampling (§4.1): an O(K) group pick over the prefix sums
+    * of the group weights, then a uniform (or dense-rejection) intra-group
+    * draw, and in the decimal group the rejection step of §4.3.
     *
     * @return the sampled neighbor's dst, or -1 if the vertex has no mass
     */
@@ -134,8 +137,13 @@ final class BingoVertex(
   }
 
   private def sampleSlot(rng: SplittableRandom): Int = {
-    if (interAlias == null) return -1
-    val g = groups(interAlias.sample(rng))
+    val last = groups.length - 1
+    if (last < 0) return -1
+    val r = rng.nextDouble() * cumWeight(last)
+    // bounded at the last group, which also takes a product rounded up to the total
+    var i = 0
+    while (i < last && r >= cumWeight(i)) i += 1
+    val g = groups(i)
     var slot = pick(g, rng)
     // a decimal member is kept with probability dec/decMax, so P = dec/decSum
     if (g.k == DecimalGroup) while (rng.nextDouble() * decMax >= decArr(slot)) slot = pick(g, rng)
@@ -145,7 +153,7 @@ final class BingoVertex(
   /** A uniformly drawn member of group `g`. */
   private def pick(g: Group, rng: SplittableRandom): Int = g.tpe match {
     case GroupType.OneElement => g.oneSlot
-    case GroupType.Regular | GroupType.Sparse => g.list(rng.nextInt(g.listLen))
+    case GroupType.Regular | GroupType.Sparse => g.list(rng.nextInt(g.count))
     case GroupType.Dense =>
       // rejection on the original neighbor list: accept iff bit k set
       val mask = 1L << g.k
@@ -156,34 +164,42 @@ final class BingoVertex(
 
   // ---- Introspection for tests, stats and memory accounting -------------
 
-  /** Probability of `dst` *derived from the live data structures* (Eq. 7):
-    * Σ_k P(p_k)·P(slot|p_k) over the alias table and group contents. By
+  /** Probability of each dst *derived from the live data structures*
+    * (Eq. 7): Σ_k P(p_k)·P(slot|p_k), with P(p_k) read off the prefix sums
+    * that [[sample]] scans and P(slot|p_k) off the group contents. By
     * Theorem 4.1 this must equal w/Σw over the slots' biases (Eq. 2) exactly.
+    * O(d·K).
     */
-  def structProbabilityOf(dst: Int): Double = {
-    var p = 0.0
+  def distribution: Map[Int, Double] = {
+    val p = scala.collection.mutable.HashMap.empty[Int, Double]
+    var prev = 0.0
     var i = 0
     while (i < groups.length) {
       val g = groups(i)
       val k = g.k
       val mask = 1L << k
-      var mass = 0.0 // of the members of group k that hold dst
-      def add(slot: Int): Unit =
-        if (dstArr(slot) == dst) mass += (if (k == DecimalGroup) decArr(slot) else mask.toDouble)
+      // P(p_k) / W(p_k): the mass of one member slot is its bias share in p_k
+      val share = (cumWeight(i) - prev) / cumWeight(groups.length - 1) / weight(g)
+      prev = cumWeight(i)
+      def add(slot: Int): Unit = {
+        val dst = dstArr(slot)
+        p(dst) = p.getOrElse(dst, 0.0) + share * (if (k == DecimalGroup) decArr(slot) else mask.toDouble)
+      }
       g.tpe match {
         case GroupType.OneElement => add(g.oneSlot)
         case GroupType.Regular | GroupType.Sparse =>
           var j = 0
-          while (j < g.listLen) { add(g.list(j)); j += 1 }
+          while (j < g.count) { add(g.list(j)); j += 1 }
         case GroupType.Dense =>
           var j = 0
           while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
       }
-      p += interAlias.probabilityOf(i) * mass / weight(g)
       i += 1
     }
-    p
+    p.toMap
   }
+
+  def structProbabilityOf(dst: Int): Double = distribution.getOrElse(dst, 0.0)
 
   def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(group(k).tpe) else None
   def groupCountOf(k: Int): Int = if (isActive(k)) group(k).count else 0
@@ -191,16 +207,16 @@ final class BingoVertex(
   def activeGroupBits: Seq[Int] = groups.map(_.k).toSeq
 
   /** Retained bytes of the vertex: the object, its adjacency slots, bias
-    * columns, groups with their inverted indexes, and inter-group alias.
+    * columns, groups with their inverted indexes, and the group weights'
+    * prefix sums.
     */
   def memoryBytes: Long = {
     // 8 references, d, lambda / active / decSum / decMax, adaptive
     var m = Heap.obj(8 * Heap.Ref + 4 + 4 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
     if (decArr != null) m += Heap.array(decArr.length, 8)
-    if (groups.length > 0) m += Heap.array(groups.length, Heap.Ref) // the empty array is shared
+    if (groups.length > 0) m += Heap.array(groups.length, Heap.Ref) + Heap.array(cumWeight.length, 8) // the empty array is shared
     var i = 0
     while (i < groups.length) { m += groups(i).memoryBytes; i += 1 }
-    if (interAlias != null) m += interAlias.memoryBytes
     m
   }
 
@@ -224,9 +240,8 @@ final class BingoVertex(
           case GroupType.OneElement =>
             require(g.count == 1 && (biasIntArr(g.oneSlot) & mask) != 0L, s"one-element group $k broken")
           case GroupType.Regular | GroupType.Sparse =>
-            require(g.listLen == g.count, s"group $k listLen ${g.listLen} != count ${g.count}")
             var j = 0
-            while (j < g.listLen) {
+            while (j < g.count) {
               val slot = g.list(j)
               require((biasIntArr(slot) & mask) != 0L, s"group $k member $slot lacks bit")
               require(g.posOf(slot) == j, s"group $k inverted index wrong for slot $slot")
@@ -287,7 +302,7 @@ final class BingoVertex(
   }
 
   private def isActive(k: Int): Boolean = (active >>> k & 1L) != 0L
-  /** Index of active group `k` in `groups`, and so in `interAlias`. */
+  /** Index of active group `k` in `groups`, and so in `cumWeight`. */
   private def indexOf(k: Int): Int = java.lang.Long.bitCount(active & ((1L << k) - 1))
   private def group(k: Int): Group = groups(indexOf(k))
 
@@ -296,8 +311,7 @@ final class BingoVertex(
     val g = new Group(k)
     g.count = 1
     g.tpe = GroupType.classify(1, d, adaptive)
-    g.initRepr(this)
-    g.reprAdd(this, slot)
+    if (g.tpe == GroupType.OneElement) g.oneSlot = slot else g.setMembers(this, Array(slot))
     val i = indexOf(k)
     val a = java.util.Arrays.copyOf(groups, groups.length + 1)
     System.arraycopy(groups, i, a, i + 1, groups.length - i)
@@ -320,12 +334,12 @@ final class BingoVertex(
     else {
       val g = group(k)
       touch(g.tpe)
-      g.count += 1
       g.tpe match {
         case GroupType.Dense => // nothing maintained
         case GroupType.OneElement => g.dirty = true // cannot absorb a 2nd member
-        case GroupType.Regular | GroupType.Sparse => g.reprAdd(this, slot)
+        case GroupType.Regular | GroupType.Sparse => g.append(slot)
       }
+      g.count += 1
     }
 
   /** Re-point the group references of a slot that moved oldSlot →
@@ -397,11 +411,10 @@ final class BingoVertex(
         i += 1
       }
       val list = g.list
-      g.listLen = SlotStore.twoPhaseCompact(doomed, m, g.listLen) { (from, to) =>
+      g.count = SlotStore.twoPhaseCompact(doomed, m, g.count) { (from, to) =>
         list(to) = list(from)
         g.setPos(list(to), to)
       }
-      g.count -= m
       if (g.count == 0) removeGroup(k)
       rest &= rest - 1
     }
@@ -418,14 +431,11 @@ final class BingoVertex(
     if (!isActive(k)) return
     val g = group(k)
     val target = GroupType.classify(g.count, d, adaptive)
-    if (target != g.tpe) {
-      if (conversions != null) conversions.recordConversion(g.tpe, target)
+    if (target != g.tpe || g.dirty) {
+      if (target != g.tpe && conversions != null) conversions.recordConversion(g.tpe, target)
       g.tpe = target
       g.dirty = false
-      g.rebuildRepr(this)
-    } else if (g.dirty) {
-      g.dirty = false
-      g.rebuildRepr(this)
+      g.setMembers(this, scanMembers(k, g.count))
     }
   }
 
@@ -435,17 +445,20 @@ final class BingoVertex(
   private def weight(g: Group): Double =
     if (g.k == DecimalGroup) decSum else g.count.toDouble * (1L << g.k).toDouble
 
-  /** Rebuild the inter-group alias table over the active groups' weights (Eq. 5). */
-  private def rebuildInterAlias(): Unit = {
-    if (groups.length == 0) { interAlias = null; return }
-    val ws = new Array[Double](groups.length)
+  /** Refill the prefix sums of the active groups' weights (Eq. 5) in place;
+    * the array is reallocated only when the number of groups changes.
+    */
+  private def rebuildCumWeight(): Unit = {
+    val n = groups.length
+    if (n == 0) cumWeight = null
+    else if (cumWeight == null || cumWeight.length != n) cumWeight = new Array[Double](n)
+    var sum = 0.0
     var i = 0
-    while (i < ws.length) { ws(i) = weight(groups(i)); i += 1 }
-    interAlias = AliasTable(ws)
+    while (i < n) { sum += weight(groups(i)); cumWeight(i) = sum; i += 1 }
   }
 
   /** The `count` slots whose bias word has bit `k` set, in slot order: the scan
-    * behind a group's representation rebuild.
+    * behind a group's representation rebuild, and the new member list.
     */
   private[core] def scanMembers(k: Int, count: Int): Array[Int] = {
     val mask = 1L << k
@@ -481,9 +494,9 @@ object BingoVertex {
     /** Batch flag: representation must be rebuilt at the rebuild step. */
     var dirty: Boolean = false
 
-    // Regular / Sparse: member list (intra-group neighbor index list)
+    // Regular / Sparse: member list (intra-group neighbor index list) in
+    // positions [0, count)
     var list: Array[Int] = null
-    var listLen: Int = 0
     // Regular: slot-indexed inverted index; Sparse: hash inverted index
     var inv: Array[Int] = null
     var invMap: IntIntMap = null
@@ -497,39 +510,32 @@ object BingoVertex {
     def clearPos(slot: Int): Unit =
       if (tpe == GroupType.Regular) inv(slot) = -1 else invMap.remove(slot)
 
-    def initRepr(owner: BingoVertex): Unit = tpe match {
-      case GroupType.Regular =>
-        list = new Array[Int](4); listLen = 0
-        inv = Array.fill(owner.capacity)(-1)
-        invMap = null; oneSlot = -1
-      case GroupType.Sparse =>
-        list = new Array[Int](4); listLen = 0
-        invMap = new IntIntMap; inv = null; oneSlot = -1
-      case GroupType.OneElement | GroupType.Dense =>
-        list = null; listLen = 0; inv = null; invMap = null; oneSlot = -1
-    }
-
-    def reprAdd(owner: BingoVertex, slot: Int): Unit = tpe match {
-      case GroupType.Dense => // nothing
-      case GroupType.OneElement => oneSlot = slot
-      case GroupType.Regular | GroupType.Sparse =>
-        if (listLen == list.length) list = java.util.Arrays.copyOf(list, listLen * 2)
-        list(listLen) = slot
-        setPos(slot, listLen)
-        listLen += 1
-    }
-
-    /** Rebuild the representation by scanning the neighbor arrays (used for
-      * group-type conversions and batch rebuilds — O(d), rare).
+    /** Set the representation of type `tpe` over `members`, the group's
+      * `count` slots; a Regular or Sparse group keeps the array as its list.
       */
-    def rebuildRepr(owner: BingoVertex): Unit = {
-      val members = owner.scanMembers(k, count)
-      initRepr(owner)
-      members.foreach(reprAdd(owner, _))
+    def setMembers(owner: BingoVertex, members: Array[Int]): Unit = {
+      list = null; inv = null; invMap = null; oneSlot = -1
+      tpe match {
+        case GroupType.Dense => // nothing stored
+        case GroupType.OneElement => oneSlot = members(0)
+        case GroupType.Regular => list = members; inv = Array.fill(owner.capacity)(-1)
+        case GroupType.Sparse => list = members; invMap = new IntIntMap
+      }
+      if (list != null) {
+        var j = 0
+        while (j < count) { setPos(list(j), j); j += 1 }
+      }
     }
 
-    /** The object (4 references, 4 ints, `dirty`) and its representation. */
-    def memoryBytes: Long = Heap.obj(4 * Heap.Ref + 4 * 4 + 1) + (tpe match {
+    /** Regular / Sparse insert: `slot` goes to list position `count`. */
+    def append(slot: Int): Unit = {
+      if (count == list.length) list = java.util.Arrays.copyOf(list, count * 2)
+      list(count) = slot
+      setPos(slot, count)
+    }
+
+    /** The object (4 references, 3 ints, `dirty`) and its representation. */
+    def memoryBytes: Long = Heap.obj(4 * Heap.Ref + 3 * 4 + 1) + (tpe match {
       case GroupType.Dense | GroupType.OneElement => 0L
       case GroupType.Sparse => Heap.array(list.length, 4) + invMap.memoryBytes
       case GroupType.Regular => Heap.array(list.length, 4) + Heap.array(inv.length, 4)

@@ -8,7 +8,7 @@ import repro.graph.{Edge, Update}
   * factorized sampler per vertex; updates are incremental (O(K) per edge)
   * and there is *no* per-round global rebuild: each touched vertex applies
   * its updates as one batch (batched_insert/batched_delete, §5.2) and then
-  * rebuilds only its ≤K-entry inter-group alias table.
+  * refills only its ≤K-entry prefix sums of group weights.
   *
   * @param adaptive   adaptive group representation (§5.1) vs BaSeline
   */
@@ -48,11 +48,7 @@ final class BingoEngine(
     s
   }
 
-  def exactDistribution(u: Int): Map[Int, Double] = {
-    val v = vertices(u)
-    val dsts = (0 until v.degree).map(v.dstAt).distinct
-    dsts.map(d => d -> v.structProbabilityOf(d)).toMap
-  }
+  def exactDistribution(u: Int): Map[Int, Double] = vertices(u).distribution
 
   /** How many groups of each adaptive type exist across all vertices
     * (context for Table 4 / the Fig. 11e group-ratio discussion).

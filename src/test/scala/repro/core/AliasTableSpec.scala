@@ -18,7 +18,7 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
     val t = AliasTable(Array(3.0))
     val rng = new SplittableRandom(1)
     (1 to 100).foreach(_ => assert(t.sample(rng) == 0))
-    assert(t.probabilityOf(0) === 1.0 +- 1e-12)
+    assert(t.probabilities(0) === 1.0 +- 1e-12)
   }
 
   test("equal weights give uniform probabilities") {
@@ -29,17 +29,17 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
   test("running-example inter-group weights (paper Fig. 4: groups 2,2,8)") {
     // vertex 2 biases {5,4,3} decompose into groups 2^0={1,5}, 2^1={5}, 2^2={1,4}
     val t = AliasTable(Array(2.0, 2.0, 8.0))
-    assert(t.probabilityOf(0) === 2.0 / 12 +- 1e-12)
-    assert(t.probabilityOf(1) === 2.0 / 12 +- 1e-12)
-    assert(t.probabilityOf(2) === 8.0 / 12 +- 1e-12)
+    assert(t.probabilities(0) === 2.0 / 12 +- 1e-12)
+    assert(t.probabilities(1) === 2.0 / 12 +- 1e-12)
+    assert(t.probabilities(2) === 8.0 / 12 +- 1e-12)
   }
 
   test("zero-weight entries get zero probability and are never sampled") {
     val t = AliasTable(Array(0.0, 1.0, 0.0, 3.0))
-    assert(t.probabilityOf(0) === 0.0 +- 1e-12)
-    assert(t.probabilityOf(2) === 0.0 +- 1e-12)
-    assert(t.probabilityOf(1) === 0.25 +- 1e-12)
-    assert(t.probabilityOf(3) === 0.75 +- 1e-12)
+    assert(t.probabilities(0) === 0.0 +- 1e-12)
+    assert(t.probabilities(2) === 0.0 +- 1e-12)
+    assert(t.probabilities(1) === 0.25 +- 1e-12)
+    assert(t.probabilities(3) === 0.75 +- 1e-12)
     val rng = new SplittableRandom(2)
     (1 to 2000).foreach { _ =>
       val s = t.sample(rng)
@@ -47,12 +47,13 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
     }
   }
 
-  test("probabilities sums to one and matches probabilityOf") {
+  test("probabilities sums to one and matches w/Σw") {
     val ws = Array(5.0, 1.0, 9.0, 0.5, 0.0, 2.25)
     val t = AliasTable(ws)
     val ps = t.probabilities
+    val exp = exact(ws)
     assert(ps.sum === 1.0 +- 1e-9)
-    ps.indices.foreach(i => assert(ps(i) === t.probabilityOf(i) +- 1e-12))
+    ps.indices.foreach(i => assert(ps(i) === exp(i) +- 1e-12))
   }
 
   test("rejects empty, negative, and all-zero inputs") {
@@ -87,7 +88,7 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
       })
       val t = AliasTable(ws)
       val exp = exact(ws)
-      ws.indices.foreach(i => assert(t.probabilityOf(i) === exp(i) +- 1e-9))
+      ws.indices.foreach(i => assert(t.probabilities(i) === exp(i) +- 1e-9))
       assert(t.probabilities.sum === 1.0 +- 1e-9)
     }
   }
@@ -98,7 +99,7 @@ class AliasTableSpec extends AnyFunSuite with Tolerance {
       val ws = Array.tabulate(n)(i => math.pow(2.0, i % 11))
       val t = AliasTable(ws)
       val exp = exact(ws)
-      ws.indices.foreach(i => assert(t.probabilityOf(i) === exp(i) +- 1e-9))
+      ws.indices.foreach(i => assert(t.probabilities(i) === exp(i) +- 1e-9))
     }
   }
 }

@@ -252,6 +252,18 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.structProbabilityOf(4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
   }
 
+  test("all 64 groups active: the group pick scans them all, the decimal group last") {
+    // 2^k fills radix group k for k = 0..62; 3.5 adds groups 0, 1 and decimal group 63
+    val v = Vertices.build((0 to 62).map(k => (k, math.pow(2, k))) :+ (63 -> 3.5))
+    v.validate()
+    assert(v.activeGroupBits == (0 to BingoVertex.DecimalGroup))
+    val dist = v.distribution
+    assert(dist.keySet == (0 to 63).toSet)
+    dist.foreach { case (dst, p) => StatCheck.assertProbEqual(p, expectedProbabilityOf(v, dst), 1e-12) }
+    val rng = new java.util.SplittableRandom(64)
+    (1 to 100000).foreach(_ => assert(v.sample(rng) >= 0))
+  }
+
   test("float vs integer: λ-scaled integer biases equal pure integer mode") {
     val ws = Seq(5.0, 4.0, 3.0)
     val vi = Vertices.build(ws.zipWithIndex.map { case (b, i) => (i, b) })

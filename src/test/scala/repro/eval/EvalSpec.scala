@@ -86,6 +86,36 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("after 3 Mixed rounds through applyRoundSpark, every engine samples its hubs by w/Σw over the live edges") {
+    // a small skewed graph: hubs of degree 80, most vertices of degree 1-3; float biases
+    val spec = GraphGen.DatasetSpec("SK", "Skewed-tiny", 400, 4000, 80, 2.0, 21L)
+    val g = GraphGen.withFloatBias(GraphGen.generate(spec))
+    val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, 300, 3, 23L)
+    val live = Plans.edgeMultisetAfter(plan, 3).toSeq.flatMap { case ((s, d, w), c) => Seq.fill(c)(Edge(s, d, w)) }
+    val hubs = live.groupBy(_.src).toSeq.sortBy { case (s, es) => (-es.size, s) }.take(3)
+    val engines = Seq(
+      "Bingo adaptive" -> BingoEngine.factory(),
+      "Bingo BS" -> BingoEngine.factory(adaptive = false),
+      "KnightKing" -> KnightKingEngine.factory,
+      "gSampler" -> GSamplerEngine.factory,
+      "FlowWalker" -> FlowWalkerEngine.factory,
+    )
+    for ((tag, f) <- engines) {
+      val eng = f.build(g.numVertices, plan.initialEdges)
+      GraphStore.register("eval-spec-exact", eng)
+      try plan.rounds.foreach(r => Bench.applyRoundSpark(spark, "eval-spec-exact", r))
+      finally GraphStore.remove("eval-spec-exact")
+      for ((u, es) <- hubs) {
+        val total = es.map(_.bias).sum
+        val want = es.groupBy(_.dst).map { case (d, ds) => d -> ds.map(_.bias).sum / total }
+        val got = eng.exactDistribution(u)
+        assert(got.keySet == want.keySet, s"$tag vertex $u")
+        want.foreach { case (d, p) => StatCheck.assertProbEqual(got(d), p, 1e-9) }
+        StatCheck.assertMatches(got, 60000, seed = u.toLong, tol = 0.02)(r => eng.sampleNext(u, r))
+      }
+    }
+  }
+
   test("applyRoundSpark rejects a negative src before running any task") {
     val eng = BingoEngine.factory().build(4, Seq(Edge(0, 1, 1.0)))
     GraphStore.register("eval-spec-neg", eng)
