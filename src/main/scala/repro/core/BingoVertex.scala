@@ -14,10 +14,10 @@ import java.util.SplittableRandom
   * decimal" and the word is the slot's full group mask. Only the non-empty
   * groups are stored, in ascending id. Sampling is hierarchical (§4.1): a
   * scan of the prefix sums of those groups' weights picks one in O(K), K
-  * ≤ 64 fixed by the bias width (the paper uses an alias table here; a scan
-  * over ≤ K weights is rebuilt in place, with no per-batch allocation),
-  * then uniform intra-group sampling picks a slot in O(1); in the decimal
-  * group the pick is accepted with probability `dec/max dec`.
+  * ≤ 64 fixed by the bias width (the paper uses an alias table here; the
+  * prefix sums are refilled in place, with no per-batch allocation), then
+  * uniform intra-group sampling picks a slot in O(1); in the decimal group
+  * the pick is accepted with probability `dec/max dec`.
   * Every update goes through the paper's per-vertex insert → delete →
   * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
   * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs

@@ -25,7 +25,7 @@ import repro.walk.Walks
   * **Timing.** Reported times are the per-round critical path measured
   * *inside* the tasks (max task time per round, summed over rounds) — the
   * analogue of GPU kernel time in the paper. Spark's per-job overhead
-  * outside the tasks (about 10 ms per walk job and 20 ms per update job on
+  * outside the tasks (8–21 ms per walk job and 14–37 ms per update job on
   * a 4-vCPU box, identical for every system and several times the in-task
   * cost of a 1000-update batch at -lite scale) would otherwise drown the
   * systems' algorithmic differences.

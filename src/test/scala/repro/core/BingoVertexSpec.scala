@@ -11,7 +11,7 @@ import repro.core.Vertices.{expectedProbabilityOf, totalMass}
 class BingoVertexSpec extends AnyFunSuite with Tolerance {
 
   /** Theorem 4.1 as an executable check: the probability derived from the
-    * live structures (alias table + group membership) equals w/Σw exactly,
+    * live structures (group prefix sums + group membership) equals w/Σw exactly,
     * and the structure invariants hold.
     */
   private def checkTheorem41(v: BingoVertex): Unit = {
