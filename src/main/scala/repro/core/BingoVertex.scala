@@ -6,12 +6,13 @@ import java.util.SplittableRandom
   *
   * Every neighbor occupies a *slot* of the Hornet-style [[SlotStore]], which
   * this class extends with its bias columns (`biasIntArr`, `decArr`). Each
-  * integer (λ-scaled) bias is decomposed by its set bits (Eq. 3); slots
-  * sharing bit `k` form radix group `p_k` with weight `|G_k|·2^k` (Eq. 4).
-  * The decimal remainders of float biases (§4.3) form one more group,
-  * [[BingoVertex.DecimalGroup]] = 63, weighted by their sum: a positive
-  * `Long` never sets bit 63, so that bit of a slot's bias word marks "has a
-  * decimal" and the word is the slot's full group mask. Only the non-empty
+  * bias's integer part is decomposed by its set bits (Eq. 3); slots sharing
+  * bit `k` form radix group `p_k` with weight `|G_k|·2^k` (Eq. 4). The
+  * decimal remainders (§4.3, taken at scale 1) form one more group,
+  * [[BingoVertex.DecimalGroup]] = 63, weighted by their sum: a bias is below
+  * [[BingoVertex.TwoPow63]], so its integer part never sets bit 63, and that
+  * bit of a slot's bias word marks "has a decimal" and the word is the
+  * slot's full group mask. Only the non-empty
   * groups are stored, in ascending id. Sampling is hierarchical (§4.1): a
   * scan of the prefix sums of those groups' weights picks one in O(K), K
   * ≤ 64 fixed by the bias width (the paper uses an alias table here; the
@@ -28,20 +29,17 @@ import java.util.SplittableRandom
   * instance of (vertex, dst), per the paper's timestamped-duplicate rule.
   *
   * @param adaptive    false reproduces the BaSeline (BS) all-regular design
-  * @param lambda      amortisation factor for floating-point biases (§4.3);
-  *                    1.0 with integer biases means a pure integer radix space
   * @param conversions optional shared collector for Table 4 statistics
   */
 final class BingoVertex(
     val adaptive: Boolean = true,
-    val lambda: Double = 1.0,
     val conversions: ConversionStats = null,
 ) extends SlotStore(BingoVertex.InitialCap) {
 
   import BingoVertex._
 
   // ---- Bias columns of the slots ----------------------------------------
-  private var biasIntArr = new Array[Long](InitialCap) // λ-scaled integer part | DecimalBit
+  private var biasIntArr = new Array[Long](InitialCap) // integer part | DecimalBit
   private var decArr: Array[Double] = null // decimal remainders; allocated on demand
 
   // ---- Groups: radix groups 0..62, the decimal group 63 -----------------
@@ -178,12 +176,15 @@ final class BingoVertex(
       val g = groups(i)
       val k = g.k
       val mask = 1L << k
-      // P(p_k) / W(p_k): the mass of one member slot is its bias share in p_k
-      val share = (cumWeight(i) - prev) / cumWeight(groups.length - 1) / weight(g)
+      // P(p_k) / W(p_k): the mass of one member slot is its bias share in p_k.
+      // The decimal group's weight and masses enter times 2^64: exact, so each
+      // product is unchanged, and the quotient stays finite for a subnormal decSum
+      val unit = if (k == DecimalGroup) DecimalUnit else 1.0
+      val share = (cumWeight(i) - prev) / cumWeight(groups.length - 1) / (weight(g) * unit)
       prev = cumWeight(i)
       def add(slot: Int): Unit = {
         val dst = dstArr(slot)
-        p(dst) = p.getOrElse(dst, 0.0) + share * (if (k == DecimalGroup) decArr(slot) else mask.toDouble)
+        p(dst) = p.getOrElse(dst, 0.0) + share * (if (k == DecimalGroup) decArr(slot) * unit else mask.toDouble)
       }
       g.tpe match {
         case GroupType.OneElement => add(g.oneSlot)
@@ -211,8 +212,8 @@ final class BingoVertex(
     * prefix sums.
     */
   def memoryBytes: Long = {
-    // 8 references, d, lambda / active / decSum / decMax, adaptive
-    var m = Heap.obj(8 * Heap.Ref + 4 + 4 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
+    // 8 references, d, active / decSum / decMax, adaptive
+    var m = Heap.obj(8 * Heap.Ref + 4 + 3 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
     if (decArr != null) m += Heap.array(decArr.length, 8)
     if (groups.length > 0) m += Heap.array(groups.length, Heap.Ref) + Heap.array(cumWeight.length, 8) // the empty array is shared
     var i = 0
@@ -274,9 +275,11 @@ final class BingoVertex(
 
   private def touch(t: GroupType): Unit = if (conversions != null) conversions.recordTouch(t)
 
+  /** Append a slot for (dst, bias): the integer part is exact below 2^63. */
   private def appendNeighbor(dst: Int, bias: Double): Int = {
-    val (ip, dec) = Radix.scaleFloat(bias, lambda)
-    require(ip > 0 || dec > 0.0, s"λ-scaled bias vanished for $bias (λ=$lambda)")
+    require(bias > 0.0 && bias < TwoPow63, s"bias must be positive and below 2^63: $bias")
+    val ip = bias.toLong
+    val dec = bias - ip
     val slot = appendSlot(dst)
     biasIntArr(slot) = ip
     if (dec > 0.0) {
@@ -482,6 +485,12 @@ object BingoVertex {
     */
   val DecimalGroup: Int = 63
   private val DecimalBit: Long = 1L << DecimalGroup
+
+  /** The exclusive upper bound of a bias: its integer part must fit a
+    * positive `Long`, below [[DecimalBit]].
+    */
+  val TwoPow63: Double = math.pow(2, 63)
+  private val DecimalUnit: Double = math.pow(2, 64)
 
   private val NoGroups = new Array[Group](0)
 

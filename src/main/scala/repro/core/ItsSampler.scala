@@ -11,6 +11,8 @@ import java.util.SplittableRandom
   * O(d) deletion (the suffix of the CDF must be rebuilt).
   */
 final class ItsSampler extends Serializable {
+  import ItsSampler.{draw, fillCdf}
+
   private var weights = new Array[Double](4)
   private var cdf = new Array[Double](4) // cdf(i) = Σ_{j<=i} w_j
   private var n = 0
@@ -31,7 +33,7 @@ final class ItsSampler extends Serializable {
     require(w > 0.0, s"weight must be positive: $w")
     grow()
     weights(n) = w
-    cdf(n) = totalWeight + w
+    fillCdf(weights, cdf, n, n + 1)
     n += 1
   }
 
@@ -40,22 +42,13 @@ final class ItsSampler extends Serializable {
     require(i >= 0 && i < n, s"index $i out of range [0,$n)")
     System.arraycopy(weights, i + 1, weights, i, n - i - 1)
     n -= 1
-    var j = i
-    var acc = if (i == 0) 0.0 else cdf(i - 1)
-    while (j < n) { acc += weights(j); cdf(j) = acc; j += 1 }
+    fillCdf(weights, cdf, i, n)
   }
 
   /** O(log d) — binary search the CDF for a uniform draw. */
   def sample(rng: SplittableRandom): Int = {
     require(n > 0, "empty sampler")
-    val x = rng.nextDouble() * totalWeight
-    var lo = 0
-    var hi = n - 1
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cdf(mid) <= x) lo = mid + 1 else hi = mid
-    }
-    lo
+    draw(cdf, n, rng)
   }
 
   /** Exact probability of candidate `i`. */
@@ -65,6 +58,30 @@ final class ItsSampler extends Serializable {
 }
 
 object ItsSampler {
+
+  /** Refill `cdf(from until until)` with the prefix sums of `w`, continuing
+    * from `cdf(from - 1)`: cdf(i) = Σ_{j<=i} w_j.
+    */
+  def fillCdf(w: Array[Double], cdf: Array[Double], from: Int, until: Int): Unit = {
+    var acc = if (from == 0) 0.0 else cdf(from - 1)
+    var i = from
+    while (i < until) { acc += w(i); cdf(i) = acc; i += 1 }
+  }
+
+  /** Inverse transform on the CDF `cdf(0 until n)`, n > 0: the first index
+    * whose prefix sum exceeds a uniform draw in [0, cdf(n - 1)). O(log n).
+    */
+  def draw(cdf: Array[Double], n: Int, rng: SplittableRandom): Int = {
+    val x = rng.nextDouble() * cdf(n - 1)
+    var lo = 0
+    var hi = n - 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (cdf(mid) <= x) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
   def apply(ws: Seq[Double]): ItsSampler = {
     val s = new ItsSampler
     ws.foreach(s.insert)

@@ -1,7 +1,7 @@
 package repro.engine
 
 import java.util.SplittableRandom
-import repro.core.Heap
+import repro.core.{Heap, ItsSampler}
 
 /** gSampler-like baseline [15] as used in paper §6.2.
   *
@@ -23,24 +23,14 @@ final class GSamplerEngine(numVertices: Int) extends RebuildEngine(numVertices) 
     if (bias.length == 0) cdfs(v) = null
     else {
       val c = new Array[Double](bias.length)
-      var acc = 0.0
-      var i = 0
-      while (i < bias.length) { acc += bias(i); c(i) = acc; i += 1 }
+      ItsSampler.fillCdf(bias, c, 0, c.length)
       cdfs(v) = c
     }
 
   /** O(log d) inverse-transform draw on the per-vertex CDF. */
   protected def sampleSlot(u: Int, rng: SplittableRandom): Int = {
     val c = cdfs(u)
-    if (c == null) return -1
-    val x = rng.nextDouble() * c(c.length - 1)
-    var lo = 0
-    var hi = c.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (c(mid) <= x) lo = mid + 1 else hi = mid
-    }
-    lo
+    if (c == null) -1 else ItsSampler.draw(c, c.length, rng)
   }
 
   /** CDF differences over the total mass. */

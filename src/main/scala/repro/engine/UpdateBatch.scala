@@ -1,7 +1,7 @@
 package repro.engine
 
 import scala.collection.immutable.ArraySeq
-import repro.core.Radix
+import repro.core.BingoVertex
 import repro.graph.{Edge, Update}
 
 /** Graph updates as primitive columns: the one form in which snapshot
@@ -54,7 +54,7 @@ final class UpdateBatch private (val size: Int) extends Serializable {
       require(src(i) < n && dst(i) < n, s"${label(i)} names a vertex outside the engine's $n vertices")
       val finite = bias(i) > 0.0 && bias(i) <= Double.MaxValue
       require(!insert(i) || finite, s"${label(i)} has a bias that is not positive and finite")
-      require(!insert(i) || bias(i) < Radix.TwoPow63, s"${label(i)} has a bias of 2^63 or more")
+      require(!insert(i) || bias(i) < BingoVertex.TwoPow63, s"${label(i)} has a bias of 2^63 or more")
       next(key(i) + 1) += 1
     }
     for (k <- 1 to p * q) next(k) += next(k - 1)

@@ -19,8 +19,7 @@ import scala.util.Random
   * FlowWalker's O(d) blow-up on TW in paper Table 3 / Fig. 16.
   *
   * Biases follow the paper's default rule (§6.1): bias(u→v) = out-degree(v),
-  * which is power-law distributed. [[withFloatBias]] adds U(0,1) for the
-  * floating-point experiments (Fig. 14 setting).
+  * which is power-law distributed.
   */
 object GraphGen {
 
@@ -106,11 +105,5 @@ object GraphGen {
     // Paper §6.1: bias(u→v) = degree of v (power-law by construction).
     val out = edges.map { case (s, t) => Edge(s, t, degs(t).toDouble) }.toVector
     GeneratedGraph(spec, out)
-  }
-
-  /** Floating-point bias variant (paper Fig. 14): integer bias + U(0,1). */
-  def withFloatBias(g: GeneratedGraph, seed: Long = 99L): GeneratedGraph = {
-    val rnd = new Random(seed)
-    g.copy(edges = g.edges.map(e => e.copy(bias = e.bias + rnd.nextDouble())))
   }
 }

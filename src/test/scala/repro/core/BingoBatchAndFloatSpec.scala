@@ -123,8 +123,8 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
       // every bias has a decimal part, and about half are below 1: at λ = 1
       // those slots sit in the decimal group only
       val ns = (0 until n).map(i => (i, rnd.nextInt(2) * (1 + rnd.nextInt(15)) + 0.001 + rnd.nextDouble()))
-      val v = new BingoVertex(lambda = lambda)
-      Batch(v, ns, Seq.empty)
+      val v = new BingoVertex()
+      Batch(v, ns.map { case (d, b) => (d, b * lambda) }, Seq.empty)
       val decimals = v.groupCountOf(BingoVertex.DecimalGroup)
       val dels = rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1))
       Batch(v, Seq.empty, dels)
@@ -166,10 +166,10 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   // ---------------- floating-point biases (§4.3) ----------------
 
   test("paper Fig. 7: λ=10 on biases 0.554/0.726/0.320") {
-    val v = new BingoVertex(lambda = 10.0)
-    v.insert(1, 0.554)
-    v.insert(4, 0.726)
-    v.insert(5, 0.320)
+    val v = new BingoVertex()
+    v.insert(1, 0.554 * 10.0)
+    v.insert(4, 0.726 * 10.0)
+    v.insert(5, 0.320 * 10.0)
     v.validate()
     // integer parts 5, 7, 3 -> groups 2^0 {5.54->1? no:} — int parts 5(101b),7(111b),3(011b)
     assert(v.groupCountOf(0) == 3) // 5,7,3 all odd
@@ -184,16 +184,16 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   }
 
   test("float sampling distribution matches scaled biases") {
-    val v = new BingoVertex(lambda = 10.0)
-    v.insert(1, 0.554); v.insert(4, 0.726); v.insert(5, 0.320)
+    val v = new BingoVertex()
+    v.insert(1, 0.554 * 10.0); v.insert(4, 0.726 * 10.0); v.insert(5, 0.320 * 10.0)
     val tot = 5.54 + 7.26 + 3.20
     val exp = Map(1 -> 5.54 / tot, 4 -> 7.26 / tot, 5 -> 3.20 / tot)
     StatCheck.assertMatches(exp, 200000, seed = 41, tol = 0.01)(v.sample)
   }
 
   test("float: deleting a decimal-group member keeps decSum consistent") {
-    val v = new BingoVertex(lambda = 10.0)
-    v.insert(1, 0.554); v.insert(4, 0.726); v.insert(5, 0.320)
+    val v = new BingoVertex()
+    v.insert(1, 0.554 * 10.0); v.insert(4, 0.726 * 10.0); v.insert(5, 0.320 * 10.0)
     assert(v.delete(4))
     v.validate()
     val tot = 5.54 + 3.20
@@ -203,19 +203,19 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
 
   test("float: batch updates with decimals") {
     val rnd = new Random(321)
-    val v = new BingoVertex(lambda = 100.0)
+    val v = new BingoVertex()
     val ns = (0 until 60).map(i => (i, rnd.nextDouble() * 5 + 0.01))
-    Batch(v, ns, Seq.empty)
+    Batch(v, ns.map { case (d, b) => (d, b * 100.0) }, Seq.empty)
     v.validate()
     val dels = rnd.shuffle((0 until 60).toList).take(25)
-    Batch(v, (100 until 110).map(i => (i, rnd.nextDouble() * 5 + 0.01)), dels)
+    Batch(v, (100 until 110).map(i => (i, (rnd.nextDouble() * 5 + 0.01) * 100.0)), dels)
     v.validate()
     val liveNs = ns.filterNot(x => dels.contains(x._1))
     assert(v.degree == liveNs.size + 10)
   }
 
   test("float: integer-valued doubles with λ=1 have empty decimal group") {
-    val v = new BingoVertex(lambda = 1.0)
+    val v = new BingoVertex()
     v.insert(1, 5.0); v.insert(2, 4.0)
     assert(v.groupCountOf(BingoVertex.DecimalGroup) == 0)
     v.validate()
@@ -224,12 +224,12 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   test("float: λ chosen by chooseLambda keeps decimal group mass < 1/d") {
     val rnd = new Random(55)
     val biases = Array.fill(40)(rnd.nextDouble() * 2 + 0.05)
-    val lambda = Radix.chooseLambda(biases)
-    val v = new BingoVertex(lambda = lambda)
-    biases.zipWithIndex.foreach { case (b, i) => v.insert(i, b) }
+    val lambda = LambdaRule.chooseLambda(biases)
+    val v = new BingoVertex()
+    biases.zipWithIndex.foreach { case (b, i) => v.insert(i, b * lambda) }
     v.validate()
     // decimal group weight / total mass < 1/d  =>  O(1) expected sampling
-    val decMass = biases.map(b => { val (_, dec) = Radix.scaleFloat(b, lambda); dec }).sum
+    val decMass = (0 until v.degree).map(v.decimalAt).sum
     assert(decMass / totalMass(v) < 1.0 / v.degree)
     // distribution still exact
     val tot = biases.map(_ * lambda).sum
@@ -242,7 +242,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     val v = Vertices.build(Seq((1, 3.0), (2, 5.0)))
     intercept[IllegalArgumentException](v.insert(3, 1e19))
     intercept[IllegalArgumentException](v.insert(3, Double.PositiveInfinity))
-    intercept[IllegalArgumentException](new BingoVertex(lambda = 10.0).insert(3, 1e18))
+    intercept[IllegalArgumentException](new BingoVertex().insert(3, 1e18 * 10.0))
     v.validate()
     assert(v.degree == 2 && !v.contains(3))
     assert(v.structProbabilityOf(2) === 5.0 / 8 +- 1e-12)
@@ -250,6 +250,26 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     v.insert(4, math.pow(2, 62))
     v.validate()
     assert(v.structProbabilityOf(4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
+  }
+
+  test("insert accepts the biases at the ends of the range and keeps w/Σw") {
+    val below63 = math.nextDown(math.pow(2, 63))
+    // (bias, its integer word, its decimal): the first two sit in decimal group 63 only
+    val cases = Seq((Double.MinPositiveValue, 0L, Double.MinPositiveValue), (0.5, 0L, 0.5),
+      (math.pow(2, 62), 1L << 62, 0.0), (below63, below63.toLong, 0.0))
+    for ((w, word, dec) <- cases) {
+      // beside a 1.0, and alone
+      for ((v, biases) <- Seq(Vertices.build(Seq(1 -> 1.0)) -> Map(1 -> 1.0, 2 -> w), new BingoVertex -> Map(2 -> w))) {
+        v.insert(2, w)
+        v.validate()
+        val slot = v.degree - 1
+        assert(v.dstAt(slot) == 2 && v.scaledIntBiasAt(slot) == word && v.decimalAt(slot) == dec, s"w=$w")
+        assert(v.activeGroupBits.contains(BingoVertex.DecimalGroup) == (dec > 0.0), s"w=$w")
+        val dist = v.distribution
+        assert(dist.keySet == biases.keySet, s"w=$w: $dist")
+        biases.foreach { case (d, b) => assert(math.abs(dist(d) - b / biases.values.sum) <= 1e-12, s"w=$w: $dist") }
+      }
+    }
   }
 
   test("all 64 groups active: the group pick scans them all, the decimal group last") {
@@ -267,8 +287,8 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   test("float vs integer: λ-scaled integer biases equal pure integer mode") {
     val ws = Seq(5.0, 4.0, 3.0)
     val vi = Vertices.build(ws.zipWithIndex.map { case (b, i) => (i, b) })
-    val vf = new BingoVertex(lambda = 4.0) // λ·w stays integral
-    ws.zipWithIndex.foreach { case (b, i) => vf.insert(i, b) }
+    val vf = new BingoVertex() // λ·w stays integral
+    ws.zipWithIndex.foreach { case (b, i) => vf.insert(i, b * 4.0) }
     ws.indices.foreach { i =>
       StatCheck.assertProbEqual(vi.structProbabilityOf(i), vf.structProbabilityOf(i), 1e-9)
     }

@@ -7,7 +7,8 @@ import repro.{Oracle, SparkSpec}
 
 /** Radix decomposition laws (paper Eq. 3–4), read off the live
   * [[BingoVertex]] groups, in-JVM and via Spark SQL cross-checked against
-  * DuckDB's bitwise operators; and the float-bias arithmetic of §4.3–4.4.
+  * DuckDB's bitwise operators; the split of a float bias (§4.3); and §4.4's
+  * rule for λ ([[LambdaRule]]).
   */
 class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
 
@@ -56,26 +57,33 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(v.activeGroupBits.map(groupWeight(v, _)).sum == biases.sum)
   }
 
-  test("scaleFloat splits integer and decimal parts") {
-    val (i, d) = Radix.scaleFloat(0.554, 10.0)
+  /** The (integer word, decimal) that `insert` stored for `w`. */
+  private def inserted(w: Double): (Long, Double) = {
+    val v = new BingoVertex
+    v.insert(0, w)
+    v.validate()
+    (v.scaledIntBiasAt(0), v.decimalAt(0))
+  }
+
+  test("insert splits a bias into its integer word and its decimal: 5.54 is 5 and 0.54") {
+    val (i, d) = inserted(5.54)
     assert(i == 5L)
     assert(d === 0.54 +- 1e-9)
   }
 
-  test("scaleFloat rejects non-finite biases and λ·w ≥ 2^63") {
-    Seq((Double.PositiveInfinity, 1.0), (Double.NaN, 1.0), (1e19, 1.0), (1e10, 1e9), (1.0, Double.PositiveInfinity))
-      .foreach { case (w, lambda) =>
-        intercept[IllegalArgumentException](Radix.scaleFloat(w, lambda))
-      }
+  test("insert rejects NaN, ∞ and biases of 2^63 or more, and stores nextDown(2^63) exactly") {
+    Seq(Double.NaN, Double.PositiveInfinity, 1e19, math.pow(2, 63)).foreach { w =>
+      intercept[IllegalArgumentException](new BingoVertex().insert(0, w))
+    }
     // the largest double below 2^63 still converts exactly
     val below = math.nextDown(math.pow(2, 63))
-    assert(Radix.scaleFloat(below, 1.0) == ((below.toLong, 0.0)))
-    assert(below.toLong < Long.MaxValue)
+    assert(inserted(below) == ((below.toLong, 0.0)))
+    assert(below.toLong.toDouble == below && below.toLong < Long.MaxValue)
   }
 
   test("decimalMassFraction matches paper Fig. 7 example (1/16 at λ=10)") {
     // biases 0.554, 0.726, 0.320 scaled by 10 -> int parts 5,7,3; dec parts 0.54+0.26+0.20=1.0
-    val f = Radix.decimalMassFraction(Array(0.554, 0.726, 0.320), 10.0)
+    val f = LambdaRule.decimalMassFraction(Array(0.554, 0.726, 0.320), 10.0)
     assert(f === 1.0 / 16 +- 1e-9)
     assert(f < 1.0 / 3, "λ=10 must keep decimal mass below 1/d (O(1) sampling rule)")
   }
@@ -83,26 +91,26 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
   test("chooseLambda enforces W_D/(W_I+W_D) < 1/d") {
     val rnd = new Random(9)
     val biases = Array.fill(50)(rnd.nextDouble() * 3 + 0.01)
-    val lambda = Radix.chooseLambda(biases)
-    assert(Radix.decimalMassFraction(biases, lambda) < 1.0 / biases.length)
+    val lambda = LambdaRule.chooseLambda(biases)
+    assert(LambdaRule.decimalMassFraction(biases, lambda) < 1.0 / biases.length)
   }
 
   test("chooseLambda is 1 for already-integer biases") {
-    assert(Radix.chooseLambda(Array(5.0, 4.0, 3.0)) == 1.0)
+    assert(LambdaRule.chooseLambda(Array(5.0, 4.0, 3.0)) == 1.0)
   }
 
   test("chooseLambda stops at the largest power of 10 keeping λ·max(w) < 2^63") {
     val twoPow63 = math.pow(2, 63)
     // the decimal mass stays above 1/d at every λ a Double can hold
     Seq(Array(Double.MinPositiveValue), Array(1e-320, 3e-321, 2e-320)).foreach { biases =>
-      val lambda = Radix.chooseLambda(biases, cap = Double.PositiveInfinity)
+      val lambda = LambdaRule.chooseLambda(biases, cap = Double.PositiveInfinity)
       assert(biases.max * lambda < twoPow63, s"λ = $lambda")
       assert(!(biases.max * (lambda * 10.0) < twoPow63), s"λ = $lambda is not the largest")
-      biases.foreach(w => Radix.scaleFloat(w, lambda)) // usable
+      biases.zipWithIndex.foreach { case (w, i) => new BingoVertex().insert(i, w * lambda) } // usable
     }
     // an uncapped search that meets the mass target is unchanged by the bound
     val biases = Array(0.25, 0.5, 1.75)
-    assert(Radix.chooseLambda(biases, cap = Double.PositiveInfinity) == Radix.chooseLambda(biases))
+    assert(LambdaRule.chooseLambda(biases, cap = Double.PositiveInfinity) == LambdaRule.chooseLambda(biases))
   }
 
   test("Spark group weights W(p_k) match DuckDB bitwise SQL (Eq. 4)") {

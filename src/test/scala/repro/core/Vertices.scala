@@ -12,10 +12,10 @@ object Vertices {
     v
   }
 
-  /** λ-scaled weight of a slot: its integer part plus its decimal. */
+  /** Weight of a slot: its integer part plus its decimal. */
   private def weight(v: BingoVertex, slot: Int): Double = v.scaledIntBiasAt(slot).toDouble + v.decimalAt(slot)
 
-  /** Total λ-scaled mass Σw over the slots: the sampling normaliser. */
+  /** Total mass Σw over the slots: the sampling normaliser. */
   def totalMass(v: BingoVertex): Double = (0 until v.degree).map(weight(v, _)).sum
 
   /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */

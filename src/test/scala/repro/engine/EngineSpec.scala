@@ -66,11 +66,23 @@ class EngineSpec extends AnyFunSuite with Tolerance {
       Edge(0, -2, 1.0) -> "has a negative dst",
       Edge(3, 0, 1.0) -> "names a vertex outside the engine's 3 vertices",
       Edge(0, 3, 1.0) -> "names a vertex outside the engine's 3 vertices",
-    ) ++ Seq(0.0, -2.0, Double.NaN, Double.PositiveInfinity).map(w => Edge(0, 2, w) -> badBias) :+
+    ) ++ Seq(0.0, -0.0, -2.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+      .map(w => Edge(0, 2, w) -> badBias) :+
       Edge(0, 2, 1e19) -> "has a bias of 2^63 or more"
     for ((f, tag) <- factories; (e, msg) <- bad) {
       val ex = intercept[IllegalArgumentException](f.build(3, Seq(Edge(0, 1, 1.0), e)))
       assert(ex.getMessage.contains(s"snapshot edge $e $msg"), s"$tag: ${ex.getMessage}")
+    }
+  }
+
+  test("every factory accepts the biases at the ends of the range, and samples them by w/Σw") {
+    // MinPositiveValue and 0.5 sit in decimal group 63 only; 2^62 and nextDown(2^63) in radix groups only
+    for ((f, tag) <- factories; w <- EngineSpec.AcceptedBiases) {
+      // vertex 0 holds the bias beside a 1.0, vertex 1 holds it alone
+      val eng = f.build(3, Seq(Edge(0, 1, 1.0), Edge(0, 2, w), Edge(1, 2, w)))
+      assert(eng.outDegree(0) == 2 && eng.outDegree(1) == 1 && eng.hasEdge(0, 2) && eng.hasEdge(1, 2), s"$tag w=$w")
+      EngineSpec.assertDistribution(eng, 0, Map(1 -> 1.0, 2 -> w), s"$tag w=$w")
+      EngineSpec.assertDistribution(eng, 1, Map(2 -> w), s"$tag w=$w")
     }
   }
 
@@ -180,5 +192,19 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     assert(GraphStore.get("t") eq eng)
     GraphStore.remove("t")
     intercept[IllegalArgumentException](GraphStore.get("t"))
+  }
+}
+
+object EngineSpec {
+
+  /** Insert biases at the ends of the accepted range (0, 2^63). */
+  val AcceptedBiases: Seq[Double] = Seq(Double.MinPositiveValue, 0.5, math.pow(2, 62), math.nextDown(math.pow(2, 63)))
+
+  /** `eng.exactDistribution(u)` is w/Σw over `biases` (dst → summed bias), within 1e-12. */
+  def assertDistribution(eng: WalkEngine, u: Int, biases: Map[Int, Double], ctx: String): Unit = {
+    val total = biases.values.sum
+    val got = eng.exactDistribution(u)
+    assert(got.keySet == biases.keySet, s"$ctx vertex $u: $got")
+    biases.foreach { case (d, w) => assert(math.abs(got(d) - w / total) <= 1e-12, s"$ctx vertex $u: $got") }
   }
 }

@@ -14,10 +14,13 @@ import repro.graph.GraphGen
   */
 class MemoryModelSpec extends AnyFunSuite {
 
+  /** The model within ±1% of the measurement: the models count every
+    * header and reference, so a forgotten field or array shows.
+    */
   private def assertClose(model: Long, measured: Long, ctx: String): Unit = {
     val ratio = model.toDouble / measured
-    info(f"$ctx: model $model B, SizeEstimator $measured B, ratio $ratio%.3f")
-    assert(ratio >= 0.75 && ratio <= 1.25, f"$ctx: model $model B vs measured $measured B (ratio $ratio%.3f)")
+    info(f"$ctx: model $model B, SizeEstimator $measured B, ratio $ratio%.4f")
+    assert(ratio >= 0.99 && ratio <= 1.01, f"$ctx: model $model B vs measured $measured B (ratio $ratio%.4f)")
   }
 
   /** `d` neighbors with some duplicate dsts and power-law integer biases

@@ -89,7 +89,7 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
   test("after 3 Mixed rounds through applyRoundSpark, every engine samples its hubs by w/Σw over the live edges") {
     // a small skewed graph: hubs of degree 80, most vertices of degree 1-3; float biases
     val spec = GraphGen.DatasetSpec("SK", "Skewed-tiny", 400, 4000, 80, 2.0, 21L)
-    val g = GraphGen.withFloatBias(GraphGen.generate(spec))
+    val g = FloatBias.withFloatBias(GraphGen.generate(spec))
     val plan = UpdateGen.plan(g.edges, UpdateMode.Mixed, 300, 3, 23L)
     val live = Plans.edgeMultisetAfter(plan, 3).toSeq.flatMap { case ((s, d, w), c) => Seq.fill(c)(Edge(s, d, w)) }
     val hubs = live.groupBy(_.src).toSeq.sortBy { case (s, es) => (-es.size, s) }.take(3)
@@ -141,7 +141,7 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       Update(2, insert = true, 1, -7, 1.0) -> "negative dst",
       Update(2, insert = true, 4, 2, 1.0) -> "outside the engine's 4 vertices",
       Update(2, insert = false, 1, 4, 0.0) -> "outside the engine's 4 vertices",
-    ) ++ Seq(0.0, -3.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+    ) ++ Seq(0.0, -0.0, -3.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
       .map(w => Update(2, insert = true, 1, 3, w) -> badBias) ++
       Seq(1e19, math.pow(2, 63)).map(w => Update(2, insert = true, 0, 3, w) -> "has a bias of 2^63 or more")
     for (f <- Tables.frameworks) {
@@ -162,6 +162,25 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
         eng.applyRoundLocal(Seq(Update(3, insert = false, 0, 1, Double.NaN)))
         assert(eng.outDegree(0) == 0, f.name)
       } finally GraphStore.remove("eval-spec-range")
+    }
+  }
+
+  test("applyRoundSpark and applyRoundLocal accept the insert biases at the ends of the range, for every engine") {
+    for (f <- Tables.frameworks :+ BingoEngine.factory(adaptive = false); w <- EngineSpec.AcceptedBiases) {
+      // vertex 0 gets the bias beside its 1.0, vertex 1 gets it alone
+      val round = Seq(Update(1, insert = true, 0, 2, w), Update(2, insert = true, 1, 3, w))
+      val viaSpark = f.build(4, Seq(Edge(0, 1, 1.0)))
+      GraphStore.register("eval-spec-accept", viaSpark)
+      try Bench.applyRoundSpark(spark, "eval-spec-accept", round)
+      finally GraphStore.remove("eval-spec-accept")
+      val viaLocal = f.build(4, Seq(Edge(0, 1, 1.0)))
+      viaLocal.applyRoundLocal(round)
+      for ((eng, path) <- Seq(viaSpark -> "Spark", viaLocal -> "local")) {
+        val ctx = s"${f.name} $path w=$w"
+        assert((0 until 4).map(eng.outDegree) == Seq(2, 1, 0, 0), ctx)
+        EngineSpec.assertDistribution(eng, 0, Map(1 -> 1.0, 2 -> w), ctx)
+        EngineSpec.assertDistribution(eng, 1, Map(3 -> w), ctx)
+      }
     }
   }
 

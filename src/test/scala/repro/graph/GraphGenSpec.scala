@@ -96,7 +96,7 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
   test("bias variants preserve edge structure") {
     val g = graphs("AM")
-    val f = GraphGen.withFloatBias(g)
+    val f = FloatBias.withFloatBias(g)
     assert(f.edges.map(e => (e.src, e.dst)) == g.edges.map(e => (e.src, e.dst)))
     f.edges.zip(g.edges).foreach { case (fe, ge) =>
       assert(fe.bias >= ge.bias && fe.bias < ge.bias + 1.0)
