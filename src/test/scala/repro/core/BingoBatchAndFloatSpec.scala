@@ -252,7 +252,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.structProbabilityOf(4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
   }
 
-  test("insert accepts the biases at the ends of the range and keeps w/Σw") {
+  test("insert accepts the bias range's ends, exact to w/Σw") {
     val below63 = math.nextDown(math.pow(2, 63))
     // (bias, its integer word, its decimal): the first two sit in decimal group 63 only
     val cases = Seq((Double.MinPositiveValue, 0L, Double.MinPositiveValue), (0.5, 0L, 0.5),

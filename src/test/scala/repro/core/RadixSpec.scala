@@ -65,13 +65,13 @@ class RadixSpec extends AnyFunSuite with SparkSpec with Tolerance {
     (v.scaledIntBiasAt(0), v.decimalAt(0))
   }
 
-  test("insert splits a bias into its integer word and its decimal: 5.54 is 5 and 0.54") {
+  test("insert splits 5.54 into integer word 5 and decimal 0.54") {
     val (i, d) = inserted(5.54)
     assert(i == 5L)
     assert(d === 0.54 +- 1e-9)
   }
 
-  test("insert rejects NaN, ∞ and biases of 2^63 or more, and stores nextDown(2^63) exactly") {
+  test("insert rejects NaN, ∞, 1e19 and 2^63; stores nextDown(2^63) exactly") {
     Seq(Double.NaN, Double.PositiveInfinity, 1e19, math.pow(2, 63)).foreach { w =>
       intercept[IllegalArgumentException](new BingoVertex().insert(0, w))
     }

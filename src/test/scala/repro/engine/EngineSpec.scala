@@ -75,7 +75,7 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     }
   }
 
-  test("every factory accepts the biases at the ends of the range, and samples them by w/Σw") {
+  test("every factory accepts the bias range's ends, exact to w/Σw") {
     // MinPositiveValue and 0.5 sit in decimal group 63 only; 2^62 and nextDown(2^63) in radix groups only
     for ((f, tag) <- factories; w <- EngineSpec.AcceptedBiases) {
       // vertex 0 holds the bias beside a 1.0, vertex 1 holds it alone

@@ -165,21 +165,17 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("applyRoundSpark and applyRoundLocal accept the insert biases at the ends of the range, for every engine") {
-    for (f <- Tables.frameworks :+ BingoEngine.factory(adaptive = false); w <- EngineSpec.AcceptedBiases) {
+  test("both round paths accept the bias range's ends, for every framework") {
+    for (w <- EngineSpec.AcceptedBiases) {
       // vertex 0 gets the bias beside its 1.0, vertex 1 gets it alone
       val round = Seq(Update(1, insert = true, 0, 2, w), Update(2, insert = true, 1, 3, w))
-      val viaSpark = f.build(4, Seq(Edge(0, 1, 1.0)))
-      GraphStore.register("eval-spec-accept", viaSpark)
-      try Bench.applyRoundSpark(spark, "eval-spec-accept", round)
-      finally GraphStore.remove("eval-spec-accept")
-      val viaLocal = f.build(4, Seq(Edge(0, 1, 1.0)))
-      viaLocal.applyRoundLocal(round)
-      for ((eng, path) <- Seq(viaSpark -> "Spark", viaLocal -> "local")) {
-        val ctx = s"${f.name} $path w=$w"
-        assert((0 until 4).map(eng.outDegree) == Seq(2, 1, 0, 0), ctx)
-        EngineSpec.assertDistribution(eng, 0, Map(1 -> 1.0, 2 -> w), ctx)
-        EngineSpec.assertDistribution(eng, 1, Map(3 -> w), ctx)
+      for ((viaSpark, viaLocal) <- assertSparkMatchesLocal(4, Seq(Edge(0, 1, 1.0)), Seq(round), _ => Seq(0, 1))) {
+        for ((eng, path) <- Seq(viaSpark -> "Spark", viaLocal -> "local")) {
+          val ctx = s"${eng.name} $path w=$w"
+          assert((0 until 4).map(eng.outDegree) == Seq(2, 1, 0, 0), ctx)
+          EngineSpec.assertDistribution(eng, 0, Map(1 -> 1.0, 2 -> w), ctx)
+          EngineSpec.assertDistribution(eng, 1, Map(3 -> w), ctx)
+        }
       }
     }
   }
