@@ -23,7 +23,7 @@ import java.util.SplittableRandom
   * rebuild workflow with the two-phase parallel delete-and-swap (§5.2,
   * Fig. 10b); a streaming insert/delete (§4.2) is a batch of one and costs
   * O(K). Groups adapt their representation (dense / one-element / sparse /
-  * regular, §5.1) to cut memory.
+  * regular, §5.1) to cut memory, and a group's representation is its type.
   *
   * Duplicate edges are allowed; a deletion removes the *earliest* surviving
   * instance of (vertex, dst), per the paper's timestamped-duplicate rule.
@@ -44,11 +44,17 @@ final class BingoVertex(
 
   // ---- Groups: radix groups 0..62, the decimal group 63 -----------------
   // Only the non-empty groups are kept, in ascending id: bit k of `active` is
-  // set iff group k is non-empty, and cumWeight(i) is the summed weight of
-  // groups(0..i) (Eq. 5); null while there are no groups.
-  private var groups: Array[Group] = NoGroups
+  // set iff group k is non-empty, and entry i of the group columns is the
+  // i-th active group's. The representation is the adaptive type (§5.1):
+  // Dense has no list, One-element a one-entry list and no inverse, Sparse
+  // a list and an IntIntMap inverse, Regular a list and a slot-indexed
+  // Array[Int] inverse. A list holds its members in positions [0, count).
+  // The columns grow by doubling; null until the first group.
   private var active = 0L
-  private var cumWeight: Array[Double] = null
+  private var counts: Array[Int] = null
+  private var lists: Array[Array[Int]] = null
+  private var invs: Array[AnyRef] = null // slot → list position
+  private var cumWeight: Array[Double] = null // summed weight of groups 0..i (Eq. 5)
   private var decSum = 0.0 // weight of the decimal group
   private var decMax = 0.0 // largest decimal: its rejection bound
 
@@ -112,8 +118,9 @@ final class BingoVertex(
     }
     if (applied > 0) touchedBits |= deleteSlots(freed, applied)
 
-    // -- rebuild phase: conversions of the touched groups (every dirty group
-    // was touched in this batch) + the group weights' prefix sums
+    // -- rebuild phase: conversions of the touched groups, a fresh entry for
+    // each touched One-element group that lost its member + the group
+    // weights' prefix sums
     var rest = touchedBits
     while (rest != 0) {
       reclassify(java.lang.Long.numberOfTrailingZeros(rest))
@@ -135,29 +142,34 @@ final class BingoVertex(
   }
 
   private def sampleSlot(rng: SplittableRandom): Int = {
-    val last = groups.length - 1
+    val last = java.lang.Long.bitCount(active) - 1
     if (last < 0) return -1
     val r = rng.nextDouble() * cumWeight(last)
     // bounded at the last group, which also takes a product rounded up to the total
     var i = 0
-    while (i < last && r >= cumWeight(i)) i += 1
-    val g = groups(i)
-    var slot = pick(g, rng)
-    // a decimal member is kept with probability dec/decMax, so P = dec/decSum
-    if (g.k == DecimalGroup) while (rng.nextDouble() * decMax >= decArr(slot)) slot = pick(g, rng)
+    var rest = active // its lowest bit is group i's id
+    while (i < last && r >= cumWeight(i)) { i += 1; rest &= rest - 1 }
+    val k = java.lang.Long.numberOfTrailingZeros(rest)
+    var slot = pick(i, k, rng)
+    // a decimal member is kept with probability dec/decMax, so P = dec/decSum;
+    // both sides enter times 2^64, exact, so no product rounds as a subnormal
+    if (k == DecimalGroup) {
+      val bound = decMax * DecimalUnit
+      while (rng.nextDouble() * bound >= decArr(slot) * DecimalUnit) slot = pick(i, k, rng)
+    }
     slot
   }
 
-  /** A uniformly drawn member of group `g`. */
-  private def pick(g: Group, rng: SplittableRandom): Int = g.tpe match {
-    case GroupType.OneElement => g.oneSlot
-    case GroupType.Regular | GroupType.Sparse => g.list(rng.nextInt(g.count))
-    case GroupType.Dense =>
-      // rejection on the original neighbor list: accept iff bit k set
-      val mask = 1L << g.k
+  /** A uniformly drawn member of group `k`, the `i`-th active group. */
+  private def pick(i: Int, k: Int, rng: SplittableRandom): Int = {
+    val list = lists(i)
+    if (list == null) { // Dense: rejection on the original neighbor list, accept iff bit k set
+      val mask = 1L << k
       var slot = rng.nextInt(d)
       while ((biasIntArr(slot) & mask) == 0L) slot = rng.nextInt(d)
       slot
+    } else if (invs(i) == null) list(0) // One-element: no draw
+    else list(rng.nextInt(counts(i)))
   }
 
   // ---- Introspection for tests, stats and memory accounting -------------
@@ -170,62 +182,60 @@ final class BingoVertex(
     */
   def distribution: Map[Int, Double] = {
     val p = scala.collection.mutable.HashMap.empty[Int, Double]
+    val n = java.lang.Long.bitCount(active)
     var prev = 0.0
+    var rest = active
     var i = 0
-    while (i < groups.length) {
-      val g = groups(i)
-      val k = g.k
+    while (i < n) {
+      val k = java.lang.Long.numberOfTrailingZeros(rest)
       val mask = 1L << k
       // P(p_k) / W(p_k): the mass of one member slot is its bias share in p_k.
       // The decimal group's weight and masses enter times 2^64: exact, so each
       // product is unchanged, and the quotient stays finite for a subnormal decSum
       val unit = if (k == DecimalGroup) DecimalUnit else 1.0
-      val share = (cumWeight(i) - prev) / cumWeight(groups.length - 1) / (weight(g) * unit)
+      val share = (cumWeight(i) - prev) / cumWeight(n - 1) / (weight(i, k) * unit)
       prev = cumWeight(i)
       def add(slot: Int): Unit = {
         val dst = dstArr(slot)
         p(dst) = p.getOrElse(dst, 0.0) + share * (if (k == DecimalGroup) decArr(slot) * unit else mask.toDouble)
       }
-      g.tpe match {
-        case GroupType.OneElement => add(g.oneSlot)
-        case GroupType.Regular | GroupType.Sparse =>
-          var j = 0
-          while (j < g.count) { add(g.list(j)); j += 1 }
-        case GroupType.Dense =>
-          var j = 0
-          while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
-      }
+      val list = lists(i)
+      var j = 0
+      if (list == null) while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
+      else while (j < counts(i)) { add(list(j)); j += 1 }
       i += 1
+      rest &= rest - 1
     }
     p.toMap
   }
 
   def structProbabilityOf(dst: Int): Double = distribution.getOrElse(dst, 0.0)
 
-  def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(group(k).tpe) else None
-  def groupCountOf(k: Int): Int = if (isActive(k)) group(k).count else 0
+  def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(typeAt(indexOf(k))) else None
+  def groupCountOf(k: Int): Int = if (isActive(k)) counts(indexOf(k)) else 0
   /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
-  def activeGroupBits: Seq[Int] = groups.map(_.k).toSeq
+  def activeGroupBits: Seq[Int] = (0 to DecimalGroup).filter(isActive)
 
   /** Retained bytes of the vertex: the object, its adjacency slots, bias
-    * columns, groups with their inverted indexes, and the group weights'
-    * prefix sums.
+    * columns, group columns with the lists and inverted indexes, and the
+    * group weights' prefix sums.
     */
   def memoryBytes: Long = {
-    // 8 references, d, active / decSum / decMax, adaptive
-    var m = Heap.obj(8 * Heap.Ref + 4 + 3 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
+    // 10 references, d, active / decSum / decMax, adaptive
+    var m = Heap.obj(10 * Heap.Ref + 4 + 3 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
     if (decArr != null) m += Heap.array(decArr.length, 8)
-    if (groups.length > 0) m += Heap.array(groups.length, Heap.Ref) + Heap.array(cumWeight.length, 8) // the empty array is shared
+    if (counts != null) m += Heap.array(counts.length, 4) + 2 * Heap.array(counts.length, Heap.Ref) + Heap.array(counts.length, 8)
     var i = 0
-    while (i < groups.length) { m += groups(i).memoryBytes; i += 1 }
+    while (i < java.lang.Long.bitCount(active)) {
+      if (lists(i) != null) m += Heap.array(lists(i).length, 4)
+      m += (invs(i) match { case inv: Array[Int] => Heap.array(inv.length, 4); case map: IntIntMap => map.memoryBytes; case _ => 0L })
+      i += 1
+    }
     m
   }
 
   /** Fail-fast structural invariant check (test support). */
   def validate(): Unit = {
-    // the stored groups are the active ones, in ascending id
-    val ids = activeGroupBits
-    require(ids == (0 to DecimalGroup).filter(isActive), s"groups $ids vs active ${active.toBinaryString}")
     // group counts and memberships, over all 64 ids
     var k = 0
     while (k <= DecimalGroup) {
@@ -233,26 +243,24 @@ final class BingoVertex(
       var expect = 0
       var i = 0
       while (i < d) { if ((biasIntArr(i) & mask) != 0L) expect += 1; i += 1 }
-      val g = if (isActive(k)) group(k) else null
-      val got = if (g == null) 0 else g.count
-      require(got == expect && (g == null || got > 0), s"group $k count $got != expected $expect")
-      if (g != null) {
-        g.tpe match {
-          case GroupType.OneElement =>
-            require(g.count == 1 && (biasIntArr(g.oneSlot) & mask) != 0L, s"one-element group $k broken")
-          case GroupType.Regular | GroupType.Sparse =>
-            var j = 0
-            while (j < g.count) {
-              val slot = g.list(j)
-              require((biasIntArr(slot) & mask) != 0L, s"group $k member $slot lacks bit")
-              require(g.posOf(slot) == j, s"group $k inverted index wrong for slot $slot")
-              j += 1
-            }
-          case GroupType.Dense => // nothing stored
+      val got = groupCountOf(k)
+      require(got == expect && (!isActive(k) || got > 0), s"group $k count $got != expected $expect")
+      val g = indexOf(k)
+      if (isActive(k) && lists(g) != null) { // a Dense group stores no slots
+        require(invs(g) != null || got == 1, s"one-element group $k holds $got members")
+        var j = 0
+        while (j < got) {
+          val slot = lists(g)(j)
+          require(slot < d && (biasIntArr(slot) & mask) != 0L, s"group $k member $slot lacks bit")
+          require(invs(g) == null || posOf(g, slot) == j, s"group $k inverted index wrong for slot $slot")
+          j += 1
         }
       }
       k += 1
     }
+    // entries past the active groups hold nothing
+    var e = java.lang.Long.bitCount(active)
+    while (counts != null && e < counts.length) { require(lists(e) == null && invs(e) == null, s"group entry $e not cleared"); e += 1 }
     // the decimal bit marks exactly the slots with a decimal; its weight and bound
     var sum = 0.0
     var max = 0.0
@@ -273,7 +281,25 @@ final class BingoVertex(
   // Internals
   // =======================================================================
 
-  private def touch(t: GroupType): Unit = if (conversions != null) conversions.recordTouch(t)
+  private def touch(i: Int): Unit = if (conversions != null) conversions.recordTouch(typeAt(i))
+
+  /** Group `i`'s adaptive type, read off its representation. */
+  private def typeAt(i: Int): GroupType = invs(i) match {
+    case _: IntIntMap => GroupType.Sparse
+    case _: Array[Int] => GroupType.Regular
+    case _ => if (lists(i) == null) GroupType.Dense else GroupType.OneElement
+  }
+
+  private def posOf(i: Int, slot: Int): Int = invs(i) match {
+    case inv: Array[Int] => inv(slot)
+    case map: IntIntMap => map.get(slot)
+  }
+
+  /** Point group `i`'s inverse at list position `pos` for `slot`; -1 clears it. */
+  private def setPos(i: Int, slot: Int, pos: Int): Unit = invs(i) match {
+    case inv: Array[Int] => inv(slot) = pos
+    case map: IntIntMap => if (pos < 0) map.remove(slot) else map.put(slot, pos)
+  }
 
   /** Append a slot for (dst, bias): the integer part is exact below 2^63. */
   private def appendNeighbor(dst: Int, bias: Double): Int = {
@@ -295,54 +321,68 @@ final class BingoVertex(
   protected def growColumns(cap: Int): Unit = {
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
-    groups.foreach { g =>
-      if (g.tpe == GroupType.Regular) {
-        val old = g.inv.length
-        g.inv = java.util.Arrays.copyOf(g.inv, cap)
-        java.util.Arrays.fill(g.inv, old, cap, -1)
+    var i = 0
+    while (i < java.lang.Long.bitCount(active)) {
+      invs(i) match {
+        case inv: Array[Int] => // Regular
+          val grown = java.util.Arrays.copyOf(inv, cap)
+          java.util.Arrays.fill(grown, inv.length, cap, -1)
+          invs(i) = grown
+        case _ =>
       }
+      i += 1
     }
   }
 
   private def isActive(k: Int): Boolean = (active >>> k & 1L) != 0L
-  /** Index of active group `k` in `groups`, and so in `cumWeight`. */
+  /** Index of active group `k` in the group columns. */
   private def indexOf(k: Int): Int = java.lang.Long.bitCount(active & ((1L << k) - 1))
-  private def group(k: Int): Group = groups(indexOf(k))
 
   /** Group `k`'s birth with its first member `slot`: a new entry, in id order. O(K). */
   private def addGroup(k: Int, slot: Int): Unit = {
-    val g = new Group(k)
-    g.count = 1
-    g.tpe = GroupType.classify(1, d, adaptive)
-    if (g.tpe == GroupType.OneElement) g.oneSlot = slot else g.setMembers(this, Array(slot))
+    val n = java.lang.Long.bitCount(active)
+    if (counts == null || n == counts.length) {
+      val cap = math.max(1, 2 * n)
+      counts = if (counts == null) new Array[Int](cap) else java.util.Arrays.copyOf(counts, cap)
+      lists = if (lists == null) new Array[Array[Int]](cap) else java.util.Arrays.copyOf(lists, cap)
+      invs = if (invs == null) new Array[AnyRef](cap) else java.util.Arrays.copyOf(invs, cap)
+      cumWeight = new Array[Double](cap) // refilled by the rebuild phase
+    }
     val i = indexOf(k)
-    val a = java.util.Arrays.copyOf(groups, groups.length + 1)
-    System.arraycopy(groups, i, a, i + 1, groups.length - i)
-    a(i) = g
-    groups = a
+    shiftGroups(i, i + 1, n - i)
+    counts(i) = 1
     active |= 1L << k
+    setMembers(i, GroupType.classify(1, d, adaptive), Array(slot))
   }
 
-  /** Group `k`'s death: its entry goes. O(K). */
+  /** Group `k`'s death: the entries above it shift down. O(K). */
   private def removeGroup(k: Int): Unit = {
+    val n = java.lang.Long.bitCount(active)
     val i = indexOf(k)
-    System.arraycopy(groups, i + 1, groups, i, groups.length - i - 1)
-    groups = java.util.Arrays.copyOf(groups, groups.length - 1)
+    shiftGroups(i + 1, i, n - i - 1)
+    lists(n - 1) = null
+    invs(n - 1) = null
     active &= ~(1L << k)
+  }
+
+  private def shiftGroups(from: Int, to: Int, len: Int): Unit = {
+    System.arraycopy(counts, from, counts, to, len)
+    System.arraycopy(lists, from, lists, to, len)
+    System.arraycopy(invs, from, invs, to, len)
   }
 
   /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
   private def groupInsert(k: Int, slot: Int): Unit =
     if (!isActive(k)) addGroup(k, slot)
     else {
-      val g = group(k)
-      touch(g.tpe)
-      g.tpe match {
-        case GroupType.Dense => // nothing maintained
-        case GroupType.OneElement => g.dirty = true // cannot absorb a 2nd member
-        case GroupType.Regular | GroupType.Sparse => g.append(slot)
-      }
-      g.count += 1
+      val i = indexOf(k)
+      touch(i)
+      if (invs(i) != null) { // Regular / Sparse: `slot` goes to list position `count`
+        if (counts(i) == lists(i).length) lists(i) = java.util.Arrays.copyOf(lists(i), counts(i) * 2)
+        lists(i)(counts(i)) = slot
+        setPos(i, slot, counts(i))
+      } // Dense keeps nothing, and a One-element group is rebuilt in the rebuild phase
+      counts(i) += 1
     }
 
   /** Re-point the group references of a slot that moved oldSlot →
@@ -351,16 +391,13 @@ final class BingoVertex(
   protected def moveSlot(oldSlot: Int, newSlot: Int): Unit = {
     var rest = biasIntArr(oldSlot)
     while (rest != 0) {
-      val g = group(java.lang.Long.numberOfTrailingZeros(rest))
-      g.tpe match {
-        case GroupType.Dense => // positions not stored
-        case GroupType.OneElement => g.oneSlot = newSlot
-        case GroupType.Regular | GroupType.Sparse =>
-          val pos = g.posOf(oldSlot)
-          g.list(pos) = newSlot
-          g.clearPos(oldSlot)
-          g.setPos(newSlot, pos)
-      }
+      val i = indexOf(java.lang.Long.numberOfTrailingZeros(rest))
+      if (invs(i) != null) {
+        val pos = posOf(i, oldSlot)
+        lists(i)(pos) = newSlot
+        setPos(i, oldSlot, -1)
+        setPos(i, newSlot, pos)
+      } else if (lists(i) != null) lists(i)(0) = newSlot // One-element; a Dense group stores no slots
       rest &= rest - 1
     }
     biasIntArr(newSlot) = biasIntArr(oldSlot)
@@ -385,16 +422,12 @@ final class BingoVertex(
       touched |= rest
       while (rest != 0) {
         val k = java.lang.Long.numberOfTrailingZeros(rest)
-        val g = group(k)
-        touch(g.tpe)
-        g.tpe match {
-          case GroupType.Dense =>
-            g.count -= 1
-            if (g.count == 0) removeGroup(k)
-          case GroupType.OneElement =>
-            g.count -= 1
-            if (g.count == 0) removeGroup(k) else g.dirty = true
-          case _ => listBits |= 1L << k
+        val g = indexOf(k)
+        touch(g)
+        if (invs(g) != null) listBits |= 1L << k
+        else { // Dense / One-element: only the count changes
+          counts(g) -= 1
+          if (counts(g) == 0) removeGroup(k)
         }
         rest &= rest - 1
       }
@@ -404,21 +437,21 @@ final class BingoVertex(
     var rest = listBits
     while (rest != 0) {
       val k = java.lang.Long.numberOfTrailingZeros(rest)
-      val g = group(k)
+      val g = indexOf(k)
       val mask = 1L << k
       var m = 0
       i = 0
       while (i < n) {
         val slot = freed(i)
-        if ((biasIntArr(slot) & mask) != 0L) { doomed(m) = g.posOf(slot); g.clearPos(slot); m += 1 }
+        if ((biasIntArr(slot) & mask) != 0L) { doomed(m) = posOf(g, slot); setPos(g, slot, -1); m += 1 }
         i += 1
       }
-      val list = g.list
-      g.count = SlotStore.twoPhaseCompact(doomed, m, g.count) { (from, to) =>
+      val list = lists(g)
+      counts(g) = SlotStore.twoPhaseCompact(doomed, m, counts(g)) { (from, to) =>
         list(to) = list(from)
-        g.setPos(list(to), to)
+        setPos(g, list(to), to)
       }
-      if (g.count == 0) removeGroup(k)
+      if (counts(g) == 0) removeGroup(k)
       rest &= rest - 1
     }
     compactSlots(freed, n)
@@ -427,43 +460,61 @@ final class BingoVertex(
     touched
   }
 
-  /** Apply Eq. 9 to group `k`; on a type change rebuild its representation
-    * (recorded as a conversion, paper Table 4).
+  /** Apply Eq. 9 to touched group `k`; on a type change rebuild its
+    * representation (recorded as a conversion, paper Table 4). A group still
+    * One-element is rebuilt when its one entry no longer names a member: the
+    * batch deleted that slot, and compaction truncated it or moved a
+    * non-member there (a member that moves takes the entry with it).
     */
   private def reclassify(k: Int): Unit = {
     if (!isActive(k)) return
-    val g = group(k)
-    val target = GroupType.classify(g.count, d, adaptive)
-    if (target != g.tpe || g.dirty) {
-      if (target != g.tpe && conversions != null) conversions.recordConversion(g.tpe, target)
-      g.tpe = target
-      g.dirty = false
-      g.setMembers(this, scanMembers(k, g.count))
+    val i = indexOf(k)
+    val from = typeAt(i)
+    val to = GroupType.classify(counts(i), d, adaptive)
+    val stale = from == GroupType.OneElement && { val s = lists(i)(0); s >= d || (biasIntArr(s) >>> k & 1L) == 0L }
+    if (to != from || stale) {
+      if (to != from && conversions != null) conversions.recordConversion(from, to)
+      setMembers(i, to, scanMembers(k, counts(i)))
     }
   }
 
-  /** Weight of active group `g`: |G_k|·2^k for a radix group (Eq. 4), the
-    * sum of the decimals for the decimal group (§4.3).
+  /** Set group `i`'s representation of type `t` over `members`, its
+    * `count` slots; every type but Dense keeps the array as its list.
     */
-  private def weight(g: Group): Double =
-    if (g.k == DecimalGroup) decSum else g.count.toDouble * (1L << g.k).toDouble
+  private def setMembers(i: Int, t: GroupType, members: Array[Int]): Unit = {
+    lists(i) = if (t == GroupType.Dense) null else members
+    invs(i) = t match {
+      case GroupType.Regular => val inv = new Array[Int](capacity); java.util.Arrays.fill(inv, -1); inv
+      case GroupType.Sparse => new IntIntMap
+      case _ => null
+    }
+    var j = 0
+    while (invs(i) != null && j < members.length) { setPos(i, members(j), j); j += 1 }
+  }
 
-  /** Refill the prefix sums of the active groups' weights (Eq. 5) in place;
-    * the array is reallocated only when the number of groups changes.
+  /** Weight of group `k`, the `i`-th active group: |G_k|·2^k for a radix
+    * group (Eq. 4), the sum of the decimals for the decimal group (§4.3).
     */
+  private def weight(i: Int, k: Int): Double =
+    if (k == DecimalGroup) decSum else counts(i).toDouble * (1L << k).toDouble
+
+  /** Refill the prefix sums of the active groups' weights (Eq. 5) in place. */
   private def rebuildCumWeight(): Unit = {
-    val n = groups.length
-    if (n == 0) cumWeight = null
-    else if (cumWeight == null || cumWeight.length != n) cumWeight = new Array[Double](n)
     var sum = 0.0
+    var rest = active
     var i = 0
-    while (i < n) { sum += weight(groups(i)); cumWeight(i) = sum; i += 1 }
+    while (rest != 0) {
+      sum += weight(i, java.lang.Long.numberOfTrailingZeros(rest))
+      cumWeight(i) = sum
+      i += 1
+      rest &= rest - 1
+    }
   }
 
   /** The `count` slots whose bias word has bit `k` set, in slot order: the scan
     * behind a group's representation rebuild, and the new member list.
     */
-  private[core] def scanMembers(k: Int, count: Int): Array[Int] = {
+  private def scanMembers(k: Int, count: Int): Array[Int] = {
     val mask = 1L << k
     val out = new Array[Int](count)
     var n = 0
@@ -491,63 +542,4 @@ object BingoVertex {
     */
   val TwoPow63: Double = math.pow(2, 63)
   private val DecimalUnit: Double = math.pow(2, 64)
-
-  private val NoGroups = new Array[Group](0)
-
-  /** One group — radix group `p_k` or the decimal group — with its
-    * adaptive representation (§5.1).
-    */
-  private final class Group(val k: Int) extends Serializable {
-    var count: Int = 0
-    var tpe: GroupType = GroupType.Regular
-    /** Batch flag: representation must be rebuilt at the rebuild step. */
-    var dirty: Boolean = false
-
-    // Regular / Sparse: member list (intra-group neighbor index list) in
-    // positions [0, count)
-    var list: Array[Int] = null
-    // Regular: slot-indexed inverted index; Sparse: hash inverted index
-    var inv: Array[Int] = null
-    var invMap: IntIntMap = null
-    // One-element
-    var oneSlot: Int = -1
-
-    def posOf(slot: Int): Int =
-      if (tpe == GroupType.Regular) inv(slot) else invMap.get(slot)
-    def setPos(slot: Int, pos: Int): Unit =
-      if (tpe == GroupType.Regular) inv(slot) = pos else invMap.put(slot, pos)
-    def clearPos(slot: Int): Unit =
-      if (tpe == GroupType.Regular) inv(slot) = -1 else invMap.remove(slot)
-
-    /** Set the representation of type `tpe` over `members`, the group's
-      * `count` slots; a Regular or Sparse group keeps the array as its list.
-      */
-    def setMembers(owner: BingoVertex, members: Array[Int]): Unit = {
-      list = null; inv = null; invMap = null; oneSlot = -1
-      tpe match {
-        case GroupType.Dense => // nothing stored
-        case GroupType.OneElement => oneSlot = members(0)
-        case GroupType.Regular => list = members; inv = Array.fill(owner.capacity)(-1)
-        case GroupType.Sparse => list = members; invMap = new IntIntMap
-      }
-      if (list != null) {
-        var j = 0
-        while (j < count) { setPos(list(j), j); j += 1 }
-      }
-    }
-
-    /** Regular / Sparse insert: `slot` goes to list position `count`. */
-    def append(slot: Int): Unit = {
-      if (count == list.length) list = java.util.Arrays.copyOf(list, count * 2)
-      list(count) = slot
-      setPos(slot, count)
-    }
-
-    /** The object (4 references, 3 ints, `dirty`) and its representation. */
-    def memoryBytes: Long = Heap.obj(4 * Heap.Ref + 3 * 4 + 1) + (tpe match {
-      case GroupType.Dense | GroupType.OneElement => 0L
-      case GroupType.Sparse => Heap.array(list.length, 4) + invMap.memoryBytes
-      case GroupType.Regular => Heap.array(list.length, 4) + Heap.array(inv.length, 4)
-    })
-  }
 }

@@ -8,11 +8,14 @@ import java.util.concurrent.atomic.LongAdder
   *  - Dense        if |G|/d > α%          (α = 40)  — keeps *no* index
   *    structures; intra-group sampling is rejection on the original neighbor
   *    list (`bias & 2^k != 0` accepts), rejection ratio ≤ 1 − α%.
-  *  - One-element  if |G| = 1             — stores only the single slot.
+  *  - One-element  if |G| = 1             — stores only the single slot
+  *    (a one-entry list, no inverted index).
   *  - Sparse       if |G|/d < β% ∧ |G|≠1  (β = 10)  — compact member list
-  *    plus a small hash inverted index instead of a d-sized array.
+  *    plus a small hash inverted index ([[IntIntMap]]) instead of a d-sized array.
   *  - Regular      otherwise              — full intra-group neighbor index
-  *    list + full (d-sized) inverted index.
+  *    list + full (slot-indexed `Array[Int]`) inverted index.
+  * [[BingoVertex]] keeps no type per group: what a group stores is its type,
+  * and these objects name it for classification, the census and the counters.
   *
   * Eq. 9's cases overlap when d is tiny (a 1-element group of a degree-2
   * vertex is also >α%); we resolve ties in favour of the more specific

@@ -61,7 +61,8 @@ final class UpdateBatch private (val size: Int) extends Serializable {
     val base = Array.tabulate(p + 1)(s => next(s * q))
     val out = Array.tabulate(p)(s => new UpdateBatch(base(s + 1) - base(s)))
     val listed = Array.range(0, size)
-    for (i <- if ((1 until size).forall(i => ts(i - 1) <= ts(i))) listed else listed.sortBy(ts(_))) {
+    val inOrder = java.util.stream.IntStream.range(1, size).allMatch(i => ts(i - 1) <= ts(i)) // unboxed, as below
+    java.util.Arrays.stream(if (inOrder) listed else listed.sortBy(ts(_))).forEach { i =>
       out(src(i) % p).set(next(key(i)) - base(src(i) % p), ts(i), insert(i), src(i), dst(i), bias(i))
       next(key(i)) += 1
     }

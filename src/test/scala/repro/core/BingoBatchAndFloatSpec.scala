@@ -163,6 +163,30 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assertExact(v, 86)
   }
 
+  test("a One-element group whose member is replaced in one batch is rebuilt on its new slot") {
+    // slot 3 (bias 17) is group 4's one member; slots 0..10 fill a dense group 0
+    val v = Vertices.build((0 until 11).map(i => (i, if (i == 3) 17.0 else 1.0)))
+    assert(v.groupTypeOf(4).contains(GroupType.OneElement))
+    // group 4 takes slot 11 and loses slot 3, which slot 12 (bias 1) fills
+    assert(Batch(v, Seq((20, 16.0), (21, 1.0)), Seq(3)) == 1)
+    assert(v.groupTypeOf(4).contains(GroupType.OneElement) && v.groupCountOf(4) == 1)
+    assert((0 until v.degree).filter(s => (v.scaledIntBiasAt(s) & 16L) != 0L) == Seq(11) && v.dstAt(11) == 20)
+    assert(v.dstAt(3) == 21)
+    assertExact(v, 87) // validate: group 4's one entry is a member, slot 11
+    assert(v.distribution(20) == 16.0 / totalMass(v))
+  }
+
+  test("a group born and emptied in one batch leaves no entry") {
+    val v = Vertices.build((0 until 6).map(i => (i, (i % 3 + 1).toDouble)))
+    // 64 and 32 give birth to groups 6 and 5; deleting 30 empties group 6 again
+    assert(Batch(v, Seq((30, 64.0), (31, 32.0)), Seq(30)) == 1)
+    assert(v.activeGroupBits == Seq(0, 1, 5) && v.groupTypeOf(6).isEmpty)
+    assert(v.groupTypeOf(5).contains(GroupType.OneElement))
+    assertExact(v, 88) // validate: the entries past the active groups are cleared
+    assert(Batch(v, Nil, Seq(31)) == 1 && v.activeGroupBits == Seq(0, 1))
+    assertExact(v, 89)
+  }
+
   // ---------------- floating-point biases (§4.3) ----------------
 
   test("paper Fig. 7: λ=10 on biases 0.554/0.726/0.320") {
@@ -270,6 +294,13 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
         biases.foreach { case (d, b) => assert(math.abs(dist(d) - b / biases.values.sum) <= 1e-12, s"w=$w: $dist") }
       }
     }
+  }
+
+  test("subnormal decimals are drawn at their exact shares") {
+    // 4.9e-324 and 1.5e-323: decimal group 63 only, exact shares 1/4 and 3/4
+    val v = Vertices.build(Seq(1 -> Double.MinPositiveValue, 2 -> 3 * Double.MinPositiveValue))
+    assert(v.distribution == Map(1 -> 0.25, 2 -> 0.75))
+    StatCheck.assertMatches(Map(1 -> 0.25, 2 -> 0.75), 400000, seed = 90, tol = 0.01)(v.sample)
   }
 
   test("all 64 groups active: the group pick scans them all, the decimal group last") {

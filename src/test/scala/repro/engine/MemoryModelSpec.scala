@@ -38,7 +38,7 @@ class MemoryModelSpec extends AnyFunSuite {
   }
 
   for (d <- Seq(1024, 16384)) {
-    test(s"BingoVertex memoryBytes within ±25% of SizeEstimator at d = $d") {
+    test(s"BingoVertex memoryBytes within ±1% of SizeEstimator at d = $d") {
       val rnd = new Random(d)
       val nbrs = neighbors(d, rnd)
       val doomed = nbrs.take(d / 4).map(_._1) // deleted after the build: capacity > degree
@@ -87,7 +87,7 @@ class MemoryModelSpec extends AnyFunSuite {
   }
 
   for (spec <- Seq(GraphGen.LJ, GraphGen.TW)) {
-    test(s"engine memoryBytes within ±25% of SizeEstimator on ${spec.abbr}-lite, all five engines") {
+    test(s"engine memoryBytes within ±1% of SizeEstimator on ${spec.abbr}-lite, all five engines") {
       val g = GraphGen.generate(spec)
       val factories = Seq(
         "Bingo adaptive" -> BingoEngine.factory(),
