@@ -90,12 +90,15 @@ final class BingoVertex(
     // by the insertions/deletions a group received, not by drift of d).
     var touchedBits = 0L
 
-    // -- insert phase: append slots; groups absorb without reclassification
+    // -- insert phase: room for every insert at once, then append slots;
+    // groups absorb without reclassification
     var deletes = 0
     var i = from
+    while (i < until) { if (!insert(i)) deletes += 1; i += 1 }
+    reserve(until - from - deletes)
+    i = from
     while (i < until) {
-      if (!insert(i)) deletes += 1
-      else {
+      if (insert(i)) {
         val slot = appendNeighbor(dst(i), bias(i))
         var rest = biasIntArr(slot)
         touchedBits |= rest

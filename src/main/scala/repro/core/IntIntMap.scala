@@ -5,12 +5,15 @@ package repro.core
   * (no tombstones), power-of-two capacity and load ≤ 0.5. Each entry keeps
   * its key and value side by side in one array. A map that never held an
   * entry allocates no table.
+  *
+  * @param entries entries to size the table for up front, as doubling would
   */
-final class IntIntMap extends Serializable {
+final class IntIntMap(entries: Int = 0) extends Serializable {
   import IntIntMap._
 
   // entry i: key at 2i (Free when empty), value at 2i + 1
-  private var table: Array[Int] = EmptyTable
+  private var table: Array[Int] =
+    if (entries == 0) EmptyTable else newTable(math.max(MinCapacity, Integer.highestOneBit(2 * entries - 1) << 1))
   private var n = 0
 
   def size: Int = n
@@ -64,14 +67,6 @@ final class IntIntMap extends Serializable {
     table(hole) = Free
     n -= 1
     old
-  }
-
-  def foreach(f: (Int, Int) => Unit): Unit = {
-    var i = 0
-    while (i < table.length) {
-      if (table(i) != Free) f(table(i), table(i + 1))
-      i += 2
-    }
   }
 
   /** The map object and its table (the shared empty table counts nothing). */

@@ -2,16 +2,21 @@ package repro.core
 
 /** Hornet-style slot array of one vertex's neighbors (paper §4.2,
   * supplement §9.1): a growable primitive `dst` column with O(1) amortised
-  * append and delete-and-swap compaction, plus a primitive dst → slots index
-  * in insertion (timestamp) order, so deleting a duplicated edge removes its
+  * append and delete-and-swap compaction, plus each dst's slots in
+  * insertion (timestamp) order, so deleting a duplicated edge removes its
   * earliest surviving instance (§5.2).
   *
-  * The index is an [[IntIntMap]] from each dst to its latest slot and a
-  * per-slot `nextDup` column that links each instance of a dst to the next
-  * later one, the latest closing the ring back to the earliest. Appending
-  * (at the latest end) and taking the earliest are O(1); a compaction move
-  * walks the moved slot's ring, which is one entry unless the edge is
-  * duplicated.
+  * A per-slot `nextDup` column links each instance of a dst to the next
+  * later one; the latest stores `~earliest` (a negative value), closing the
+  * ring. Finding a dst's latest instance is a scan of the dst column while
+  * the vertex holds at most [[SlotStore.MaxScan]] slots (two cache lines of
+  * dsts, as Hornet's lists find an edge); a larger vertex keeps an
+  * [[IntIntMap]] from each dst to its latest slot, built in one pass when an
+  * append takes it past [[SlotStore.MaxScan]] and dropped when a compaction
+  * leaves at most [[SlotStore.DropIndexAt]]. Given the latest instance,
+  * appending (at the latest end) and taking the earliest are O(1); a
+  * compaction move walks the moved slot's ring, which is one entry unless
+  * the edge is duplicated.
   *
   * Subclasses add their own per-slot bias columns. The store calls
   * [[growColumns]] whenever the slot arrays grow and [[moveSlot]] whenever a
@@ -19,19 +24,25 @@ package repro.core
   * (radix groups, decimal group) in step with the store.
   */
 abstract class SlotStore(initialCap: Int) extends Serializable {
+  import SlotStore._
+
   protected var dstArr: Array[Int] = new Array[Int](initialCap)
   protected var d: Int = 0
 
-  /** Per slot: the next later slot of the same dst (the latest: the earliest). */
+  /** Per slot: the next later slot of the same dst; the latest holds
+    * `~earliest`. A slot taken by [[takeEarliest]] but not yet compacted
+    * holds a non-negative value, so no scan finds it as a latest instance.
+    */
   private var nextDup: Array[Int] = new Array[Int](initialCap)
 
-  /** dst → its latest slot. */
-  private var latest = new IntIntMap
+  /** dst → its latest slot, while the vertex holds more than [[SlotStore.MaxScan]] slots; else null. */
+  private var latest: IntIntMap = null
 
   def degree: Int = d
   def dstAt(slot: Int): Int = dstArr(slot)
-  def contains(dst: Int): Boolean = latest.get(dst) >= 0
+  def contains(dst: Int): Boolean = latestSlot(dst) >= 0
   private[core] def capacity: Int = dstArr.length
+  private[core] def indexed: Boolean = latest != null
 
   /** Grow every subclass column to `cap` slots (`cap` > current capacity). */
   protected def growColumns(cap: Int): Unit
@@ -41,51 +52,93 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     */
   protected def moveSlot(from: Int, to: Int): Unit
 
+  /** Make room for `n` more slots at once: the capacity doubling would reach
+    * and, past [[SlotStore.MaxScan]] slots, the dst index, sized once.
+    */
+  protected final def reserve(n: Int): Unit = {
+    val need = d + n
+    if (need > dstArr.length) {
+      var cap = dstArr.length
+      while (cap < need) cap *= 2
+      grow(cap)
+    }
+    if (latest == null && need > MaxScan) buildIndex(need)
+  }
+
   /** Append a slot for `dst` (doubling capacity when full) and return it;
     * the caller fills its own columns at that slot.
     */
   protected final def appendSlot(dst: Int): Int = {
-    if (d == dstArr.length) {
-      val cap = d * 2
-      dstArr = java.util.Arrays.copyOf(dstArr, cap)
-      nextDup = java.util.Arrays.copyOf(nextDup, cap)
-      growColumns(cap)
-    }
+    if (d == dstArr.length) grow(d * 2)
+    val last = latestSlot(dst)
     val slot = d
     dstArr(slot) = dst
-    val last = latest.put(dst, slot)
-    if (last < 0) nextDup(slot) = slot
+    if (last < 0) nextDup(slot) = ~slot
     else { nextDup(slot) = nextDup(last); nextDup(last) = slot }
     d += 1
+    if (latest != null) latest.put(dst, slot)
+    else if (d > MaxScan) buildIndex(d)
     slot
   }
 
   /** Earliest slot holding `dst`, or -1 if there is none. */
   protected final def firstSlotOf(dst: Int): Int = {
-    val last = latest.get(dst)
-    if (last < 0) -1 else nextDup(last)
+    val last = latestSlot(dst)
+    if (last < 0) -1 else ~nextDup(last)
   }
 
   /** Next later slot holding the same dst as `slot`, or -1 after the latest. */
-  protected final def nextSlotOf(slot: Int): Int =
-    if (latest.get(dstArr(slot)) == slot) -1 else nextDup(slot)
+  protected final def nextSlotOf(slot: Int): Int = math.max(nextDup(slot), -1)
 
   /** Unindex the earliest surviving instance of `dst` and return its slot,
     * or -1 if absent. The slot stays occupied until it is compacted.
     */
   protected final def takeEarliest(dst: Int): Int = {
-    val last = latest.get(dst)
+    val last = latestSlot(dst)
     if (last < 0) return -1
-    val first = nextDup(last)
-    if (first == last) latest.remove(dst) else nextDup(last) = nextDup(first)
+    val first = ~nextDup(last)
+    if (first != last) nextDup(last) = ~nextDup(first)
+    else {
+      nextDup(first) = first // no longer a latest instance
+      if (latest != null) latest.remove(dst)
+    }
     first
   }
 
   /** Compact away the `n` distinct freed slots in `freed` (sorted in place)
     * with [[SlotStore.twoPhaseCompact]].
     */
-  protected final def compactSlots(freed: Array[Int], n: Int): Unit =
+  protected final def compactSlots(freed: Array[Int], n: Int): Unit = {
     d = SlotStore.twoPhaseCompact(freed, n, d)(move)
+    if (d <= DropIndexAt) latest = null
+  }
+
+  /** The latest slot holding `dst`, or -1 if there is none. */
+  private def latestSlot(dst: Int): Int = {
+    if (latest != null) return latest.get(dst)
+    var s = 0
+    while (s < d) {
+      if (dstArr(s) == dst && nextDup(s) < 0) return s
+      s += 1
+    }
+    -1
+  }
+
+  private def grow(cap: Int): Unit = {
+    dstArr = java.util.Arrays.copyOf(dstArr, cap)
+    nextDup = java.util.Arrays.copyOf(nextDup, cap)
+    growColumns(cap)
+  }
+
+  /** The dst index over the latest instances, sized for `entries` dsts. */
+  private def buildIndex(entries: Int): Unit = {
+    latest = new IntIntMap(entries)
+    var s = 0
+    while (s < d) {
+      if (nextDup(s) < 0) latest.put(dstArr(s), s)
+      s += 1
+    }
+  }
 
   private def move(from: Int, to: Int): Unit = {
     moveSlot(from, to)
@@ -93,43 +146,63 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     dstArr(to) = dst
     // the slot keeps its timestamp position in its ring, only its number changes
     val next = nextDup(from)
-    if (next == from) {
-      nextDup(to) = to
-      latest.put(dst, to)
-    } else {
-      var prev = next
-      while (nextDup(prev) != from) prev = nextDup(prev)
-      nextDup(prev) = to
+    if (next == ~from) nextDup(to) = ~to
+    else {
       nextDup(to) = next
-      if (latest.get(dst) == from) latest.put(dst, to)
+      var prev = ring(from)
+      while (ring(prev) != from) prev = ring(prev)
+      nextDup(prev) = if (nextDup(prev) < 0) ~to else to
     }
+    if (next < 0 && latest != null) latest.put(dst, to)
   }
 
-  /** Bytes of the dst column and the dst index. */
-  protected final def slotBytes: Long = Heap.array(dstArr.length, 4) + Heap.array(nextDup.length, 4) + latest.memoryBytes
+  /** The slot after `slot` in its ring: the latest's successor is the earliest. */
+  private def ring(slot: Int): Int = { val n = nextDup(slot); if (n < 0) ~n else n }
 
-  /** Fail-fast check that the dst index covers every slot exactly once, each
-    * dst's ring closing from its latest slot back to its earliest.
+  /** Bytes of the dst column, the `nextDup` ring and the dst index. */
+  protected final def slotBytes: Long =
+    Heap.array(dstArr.length, 4) + Heap.array(nextDup.length, 4) + (if (latest == null) 0L else latest.memoryBytes)
+
+  /** Fail-fast check that each dst has one latest instance, whose `~earliest`
+    * starts a ring through that dst's slots back to it; that the rings cover
+    * every slot exactly once; and that the dst index exists past
+    * [[SlotStore.MaxScan]] slots, not at [[SlotStore.DropIndexAt]] or fewer,
+    * and maps each dst to its latest slot.
     */
   protected final def validateSlots(): Unit = {
+    require(d <= MaxScan || latest != null, s"no dst index at $d slots")
+    require(d > DropIndexAt || latest == null, s"a dst index at $d slots")
+    val dsts = new IntIntMap(d)
     var covered = 0
-    latest.foreach { (dst, last) =>
-      var s = nextDup(last)
-      var steps = 0
-      var done = false
-      while (!done) {
-        require(s >= 0 && s < d && dstArr(s) == dst && steps < d, s"dst index wrong: slot $s in the ring of $dst")
-        steps += 1
-        done = s == last
-        s = nextDup(s)
+    var last = 0
+    while (last < d) {
+      if (nextDup(last) < 0) {
+        val dst = dstArr(last)
+        require(dsts.put(dst, last) < 0, s"dst $dst has two latest instances")
+        require(latest == null || latest.get(dst) == last, s"dst index maps $dst to ${latest.get(dst)}, not $last")
+        var s = ~nextDup(last)
+        var steps = 1
+        while (s != last) {
+          require(s >= 0 && s < d && dstArr(s) == dst && nextDup(s) >= 0 && steps < d, s"dst index wrong: slot $s in the ring of $dst")
+          steps += 1
+          s = nextDup(s)
+        }
+        covered += steps
       }
-      covered += steps
+      last += 1
     }
-    require(covered == d, s"dst index covers $covered of $d slots")
+    require(covered == d, s"the rings cover $covered of $d slots")
+    require(latest == null || latest.size == dsts.size, s"dst index holds ${latest.size} dsts, the slots ${dsts.size}")
   }
 }
 
 object SlotStore {
+
+  /** Most slots a vertex finds a dst among by scanning its dst column. */
+  val MaxScan: Int = 32
+
+  /** A compaction to this many slots or fewer drops the dst index. */
+  val DropIndexAt: Int = 16
 
   /** Two-phase parallel delete-and-swap (paper Fig. 10b) over positions
     * `[0, len)` of some array: removes the `n` distinct positions

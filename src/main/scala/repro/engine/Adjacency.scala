@@ -16,6 +16,14 @@ final class Adjacency extends SlotStore(2) {
     bias(slot) = w
   }
 
+  /** Insert entries `from until until` of the `dst` / `bias` columns, with
+    * room for all of them made at once.
+    */
+  def insertAll(dst: Array[Int], bias: Array[Double], from: Int, until: Int): Unit = {
+    reserve(until - from)
+    for (i <- from until until) insert(dst(i), bias(i))
+  }
+
   /** Delete the earliest surviving instance of (v → dst); false if absent. */
   def delete(dst: Int): Boolean = {
     val slot = takeEarliest(dst)

@@ -101,7 +101,7 @@ object RebuildEngine {
     def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
       val e = make(numVertices)
       val b = UpdateBatch.snapshot(initial, numVertices)
-      for (i <- 0 until b.size) e.adj(b.src(i)).insert(b.dst(i), b.bias(i))
+      b.foreachRun((v, from, until) => e.adj(v).insertAll(b.dst, b.bias, from, until))
       e.postRoundSlice(0, 1)
       e
     }

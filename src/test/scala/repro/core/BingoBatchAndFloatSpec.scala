@@ -79,6 +79,19 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.degree == 0)
   }
 
+  test("a batch deleting one dst more times than it has instances applies only those") {
+    // 6 slots are scanned for a dst; 46 keep a dst index
+    for (others <- Seq(3, 43)) {
+      val v = Vertices.build(Seq((5, 3.0), (5, 4.0)) ++ (0 until others).map(i => (100 + i, 1.0)))
+      assert(v.indexed == (others > SlotStore.MaxScan), s"$others others")
+      val applied = Batch(v, Seq((5, 6.0)), Seq.fill(5)(5))
+      assert(applied == 3, s"$others others")
+      v.validate()
+      assert(v.degree == others && !v.contains(5), s"$others others")
+      assert(v.distribution.keySet == (0 until others).map(100 + _).toSet)
+    }
+  }
+
   test("pure-insert batch equals incremental inserts") {
     val rnd = new Random(123)
     val ns = (0 until 100).map(i => (i, (1 + rnd.nextInt(300)).toDouble))

@@ -29,9 +29,7 @@ class IntIntMapSpec extends AnyFunSuite {
       assert(m.size == ref.size)
       if (i % 97 == 0) keys.foreach(x => assert(m.get(x) == ref.getOrElse(x, -1), s"op $i get $x"))
     }
-    var seen = Map.empty[Int, Int]
-    m.foreach((k, v) => seen = seen.updated(k, v))
-    assert(seen == ref)
+    keys.foreach(x => assert(m.get(x) == ref.getOrElse(x, -1), s"end: get $x"))
   }
 
   test("capacity: nothing allocated while empty, doubles to keep load ≤ 0.5") {
@@ -47,6 +45,17 @@ class IntIntMapSpec extends AnyFunSuite {
     // overwriting an existing key never grows the table
     (0 until 1000).foreach(k => assert(m.put(k * 7919, k + 1) == k))
     assert(m.capacity == 2048 && m.size == 1000)
+  }
+
+  test("a map sized for n entries has the capacity n puts would double to") {
+    val grown = new IntIntMap
+    (1 to 600).foreach { n =>
+      grown.put(n, n)
+      val sized = new IntIntMap(n)
+      assert(sized.capacity == grown.capacity, s"n = $n")
+      (1 to n).foreach(k => sized.put(k, k))
+      assert(sized.capacity == grown.capacity, s"n = $n, filled")
+    }
   }
 
   test("rejects negative keys and values") {

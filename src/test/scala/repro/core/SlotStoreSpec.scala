@@ -69,7 +69,11 @@ class SlotStoreSpec extends AnyFunSuite {
   private final class TaggedStore extends SlotStore(1) {
     var tag = new Array[Int](1)
 
-    def insert(dst: Int, t: Int): Unit = { val slot = appendSlot(dst); tag(slot) = t }
+    /** Append `(dst, tag)` pairs, with room for all of them made first if `presize`. */
+    def insertBatch(ins: Seq[(Int, Int)], presize: Boolean): Unit = {
+      if (presize) reserve(ins.size)
+      ins.foreach { case (dst, t) => val slot = appendSlot(dst); tag(slot) = t }
+    }
 
     /** Delete the earliest instance of each of `dsts` (in order) with one
       * two-phase compaction; returns the removed tags, -1 for an absent dst.
@@ -109,10 +113,18 @@ class SlotStoreSpec extends AnyFunSuite {
     (0 until s.degree).foreach(slot => assert(model.getOrElse(s.dstAt(slot), Vector.empty).contains(s.tag(slot)), ctx))
   }
 
-  /** Apply one batch of inserts then deletes to the store and the model. */
-  private def applyBatch(s: TaggedStore, model: Model, ins: Seq[(Int, Int)], dels: Seq[Int], ctx: String): Model = {
+  /** Apply one batch of inserts then deletes to the store and the model, and
+    * check it: each delete took its dst's earliest instance, the store
+    * matches the model, and the dst index exists as the rule says (built once
+    * the inserts take the store past `MaxScan` slots, dropped once the
+    * deletes leave it at `DropIndexAt` or fewer).
+    */
+  private def applyBatch(s: TaggedStore, model: Model, ins: Seq[(Int, Int)], dels: Seq[Int], presize: Boolean,
+      universe: Seq[Int], ctx: String): Model = {
+    val indexed = s.indexed || s.degree + ins.size > SlotStore.MaxScan
     var m = model
-    ins.foreach { case (x, t) => s.insert(x, t); m = m.updated(x, m.getOrElse(x, Vector.empty) :+ t) }
+    s.insertBatch(ins, presize)
+    ins.foreach { case (x, t) => m = m.updated(x, m.getOrElse(x, Vector.empty) :+ t) }
     val removed = s.deleteBatch(dels)
     dels.zip(removed).foreach { case (x, got) =>
       val q = m.getOrElse(x, Vector.empty)
@@ -122,6 +134,8 @@ class SlotStoreSpec extends AnyFunSuite {
         m = if (q.size == 1) m - x else m.updated(x, q.tail)
       }
     }
+    assert(s.indexed == (indexed && s.degree > SlotStore.DropIndexAt), s"$ctx: dst index at ${s.degree} slots")
+    assertMatches(s, m, universe, ctx)
     m
   }
 
@@ -153,17 +167,39 @@ class SlotStoreSpec extends AnyFunSuite {
       val dels = Seq.fill(rnd.nextInt(if (growing) 10 else 24)) {
         if (live.isEmpty || rnd.nextInt(5) == 0) pick() else live(rnd.nextInt(live.size))
       }
-      val ctx = s"batch $b"
-      model = applyBatch(s, model, ins, dels, ctx)
-      assertMatches(s, model, universe, ctx)
+      model = applyBatch(s, model, ins, dels, rnd.nextBoolean(), universe, s"batch $b")
       maxDegree = math.max(maxDegree, s.degree)
     }
     assert(maxDegree > 1000, s"the store never grew past $maxDegree slots")
     // drain: every remaining instance leaves in timestamp order
-    while (model.nonEmpty) {
-      model = applyBatch(s, model, Nil, model.keys.take(40).toSeq ++ hot, "drain")
-      assertMatches(s, model, universe, "drain")
-    }
+    while (model.nonEmpty) model = applyBatch(s, model, Nil, model.keys.take(40).toSeq ++ hot, false, universe, "drain")
     assert(s.degree == 0)
+  }
+
+  test("dst index: seeded differential test, a few duplicated dsts crossing the scan threshold both ways") {
+    val rnd = new Random(3232)
+    val universe = Vector(3, 8, 21, 40, 77, 1 << 20) // the last one is never inserted
+    def pick(): Int = universe(rnd.nextInt(universe.size - 1))
+    val s = new TaggedStore
+    var model: Model = Map.empty
+    var nextTag = 0
+    var builds = 0
+    var drops = 0
+    def batch(insMax: Int, delMax: Int, ctx: String): Unit = {
+      val ins = Seq.fill(rnd.nextInt(insMax + 1)) { nextTag += 1; (pick(), nextTag) }
+      // a dst is often deleted more times than it has instances
+      val dels = Seq.fill(rnd.nextInt(delMax + 1))(if (rnd.nextInt(8) == 0) universe.last else pick())
+      val before = s.indexed
+      model = applyBatch(s, model, ins, dels, rnd.nextBoolean(), universe, ctx)
+      if (!before && s.indexed) builds += 1
+      if (before && !s.indexed) drops += 1
+    }
+    (0 until 8).foreach { cycle =>
+      val top = SlotStore.MaxScan + 1 + rnd.nextInt(16)
+      while (s.degree < top) batch(8, 2, s"cycle $cycle, growing")
+      val bottom = rnd.nextInt(SlotStore.DropIndexAt + 1)
+      while (s.degree > bottom) batch(2, 10, s"cycle $cycle, shrinking")
+    }
+    assert(builds >= 8 && drops >= 8, s"the index was built $builds and dropped $drops times")
   }
 }

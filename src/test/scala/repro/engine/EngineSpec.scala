@@ -186,6 +186,14 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     assert(!a.delete(1))
   }
 
+  test("Adjacency: a batch deleting one dst more times than it has instances removes only those") {
+    val e = KnightKingEngine.factory.build(3, Vector(Edge(0, 1, 1.0), Edge(0, 2, 2.0), Edge(0, 2, 3.0)))
+    e.applyVertexUpdates(0, Update(5, true, 0, 2, 4.0) +: Seq.tabulate(5)(i => Update(6 + i, false, 0, 2, 0.0)))
+    assert(e.outDegree(0) == 1 && e.hasEdge(0, 1) && !e.hasEdge(0, 2))
+    e.postRoundSlice(0, 1)
+    assert(e.exactDistribution(0) == Map(1 -> 1.0))
+  }
+
   test("GraphStore register/get/remove") {
     val eng = BingoEngine.factory().build(2, Vector(Edge(0, 1, 1.0)))
     GraphStore.register("t", eng)
