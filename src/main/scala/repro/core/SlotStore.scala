@@ -35,7 +35,9 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     */
   private var nextDup: Array[Int] = new Array[Int](initialCap)
 
-  /** dst → its latest slot, while the vertex holds more than [[SlotStore.MaxScan]] slots; else null. */
+  /** dst → its latest slot, from when the vertex passes [[SlotStore.MaxScan]]
+    * slots until a compaction leaves [[SlotStore.DropIndexAt]] or fewer; else null.
+    */
   private var latest: IntIntMap = null
 
   def degree: Int = d
@@ -170,29 +172,21 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     * and maps each dst to its latest slot.
     */
   protected final def validateSlots(): Unit = {
-    require(d <= MaxScan || latest != null, s"no dst index at $d slots")
-    require(d > DropIndexAt || latest == null, s"a dst index at $d slots")
+    require(if (d > MaxScan) latest != null else d > DropIndexAt || latest == null, s"dst index ${latest != null} at $d slots")
     val dsts = new IntIntMap(d)
     var covered = 0
-    var last = 0
-    while (last < d) {
-      if (nextDup(last) < 0) {
-        val dst = dstArr(last)
-        require(dsts.put(dst, last) < 0, s"dst $dst has two latest instances")
-        require(latest == null || latest.get(dst) == last, s"dst index maps $dst to ${latest.get(dst)}, not $last")
-        var s = ~nextDup(last)
-        var steps = 1
-        while (s != last) {
-          require(s >= 0 && s < d && dstArr(s) == dst && nextDup(s) >= 0 && steps < d, s"dst index wrong: slot $s in the ring of $dst")
-          steps += 1
-          s = nextDup(s)
-        }
-        covered += steps
+    for (last <- 0 until d if nextDup(last) < 0) {
+      val dst = dstArr(last)
+      require(dsts.put(dst, last) < 0 && (latest == null || latest.get(dst) == last), s"dst $dst: two latest instances, or an index entry off slot $last")
+      var s = ~nextDup(last)
+      covered += 1
+      while (s != last) {
+        require(s >= 0 && s < d && dstArr(s) == dst && nextDup(s) >= 0 && covered < d, s"slot $s in the ring of $dst")
+        covered += 1
+        s = nextDup(s)
       }
-      last += 1
     }
-    require(covered == d, s"the rings cover $covered of $d slots")
-    require(latest == null || latest.size == dsts.size, s"dst index holds ${latest.size} dsts, the slots ${dsts.size}")
+    require(covered == d && (latest == null || latest.size == dsts.size), s"the rings cover $covered of $d slots")
   }
 }
 
