@@ -85,6 +85,8 @@ final class BingoVertex(
     * @return number of deletions actually applied
     */
   def applyBatch(dst: Array[Int], bias: Array[Double], insert: Array[Boolean], from: Int, until: Int): Int = {
+    val s = scratch.get()
+    java.util.Arrays.fill(s.touches, 0L)
     // Groups an update actually landed in — only these are reconsidered for
     // a type conversion in the rebuild phase (§5.2: conversions are driven
     // by the insertions/deletions a group received, not by drift of d).
@@ -103,7 +105,7 @@ final class BingoVertex(
         var rest = biasIntArr(slot)
         touchedBits |= rest
         while (rest != 0) {
-          groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot)
+          groupInsert(java.lang.Long.numberOfTrailingZeros(rest), slot, s.touches)
           rest &= rest - 1
         }
       }
@@ -111,7 +113,8 @@ final class BingoVertex(
     }
 
     // -- delete phase: resolve earliest instances, then compact
-    val freed = new Array[Int](deletes) // distinct: takeEarliest unindexes
+    s.reserve(deletes)
+    val freed = s.freed // distinct: takeEarliest unindexes
     var applied = 0
     i = from
     while (i < until) {
@@ -119,7 +122,7 @@ final class BingoVertex(
       if (slot >= 0) { freed(applied) = slot; applied += 1 }
       i += 1
     }
-    if (applied > 0) touchedBits |= deleteSlots(freed, applied)
+    if (applied > 0) touchedBits |= deleteSlots(freed, applied, s)
 
     // -- rebuild phase: conversions of the touched groups, a fresh entry for
     // each touched One-element group that lost its member + the group
@@ -130,6 +133,7 @@ final class BingoVertex(
       rest &= rest - 1
     }
     rebuildCumWeight()
+    if (conversions != null) conversions.recordTouches(s.touches)
     applied
   }
 
@@ -284,7 +288,8 @@ final class BingoVertex(
   // Internals
   // =======================================================================
 
-  private def touch(i: Int): Unit = if (conversions != null) conversions.recordTouch(typeAt(i))
+  /** Tally a touch of group `i` in the batch's `touches`, by its type. */
+  private def touch(i: Int, touches: Array[Long]): Unit = if (conversions != null) touches(typeAt(i).id) += 1
 
   /** Group `i`'s adaptive type, read off its representation. */
   private def typeAt(i: Int): GroupType = invs(i) match {
@@ -306,7 +311,7 @@ final class BingoVertex(
 
   /** Append a slot for (dst, bias): the integer part is exact below 2^63. */
   private def appendNeighbor(dst: Int, bias: Double): Int = {
-    require(bias > 0.0 && bias < TwoPow63, s"bias must be positive and below 2^63: $bias")
+    if (!(bias > 0.0 && bias < TwoPow63)) throw new IllegalArgumentException(s"requirement failed: bias must be positive and below 2^63: $bias")
     val ip = bias.toLong
     val dec = bias - ip
     val slot = appendSlot(dst)
@@ -375,11 +380,11 @@ final class BingoVertex(
   }
 
   /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
-  private def groupInsert(k: Int, slot: Int): Unit =
+  private def groupInsert(k: Int, slot: Int, touches: Array[Long]): Unit =
     if (!isActive(k)) addGroup(k, slot)
     else {
       val i = indexOf(k)
-      touch(i)
+      touch(i, touches)
       if (invs(i) != null) { // Regular / Sparse: `slot` goes to list position `count`
         if (counts(i) == lists(i).length) lists(i) = java.util.Arrays.copyOf(lists(i), counts(i) * 2)
         lists(i)(counts(i)) = slot
@@ -413,7 +418,7 @@ final class BingoVertex(
     *
     * @return the bias bits of the freed slots, i.e. the groups touched
     */
-  private def deleteSlots(freed: Array[Int], n: Int): Long = {
+  private def deleteSlots(freed: Array[Int], n: Int, s: Scratch): Long = {
     var touched = 0L
     var listBits = 0L // Regular / Sparse groups that lose members
     var maxGone = false // a freed decimal was decMax
@@ -426,7 +431,7 @@ final class BingoVertex(
       while (rest != 0) {
         val k = java.lang.Long.numberOfTrailingZeros(rest)
         val g = indexOf(k)
-        touch(g)
+        touch(g, s.touches)
         if (invs(g) != null) listBits |= 1L << k
         else { // Dense / One-element: only the count changes
           counts(g) -= 1
@@ -436,7 +441,7 @@ final class BingoVertex(
       }
       i += 1
     }
-    val doomed = new Array[Int](n)
+    val doomed = s.doomed
     var rest = listBits
     while (rest != 0) {
       val k = java.lang.Long.numberOfTrailingZeros(rest)
@@ -449,11 +454,9 @@ final class BingoVertex(
         if ((biasIntArr(slot) & mask) != 0L) { doomed(m) = posOf(g, slot); setPos(g, slot, -1); m += 1 }
         i += 1
       }
-      val list = lists(g)
-      counts(g) = SlotStore.twoPhaseCompact(doomed, m, counts(g)) { (from, to) =>
-        list(to) = list(from)
-        setPos(g, list(to), to)
-      }
+      s.point(this, g)
+      counts(g) = SlotStore.twoPhaseCompact(doomed, m, counts(g))(s)
+      s.point(null, 0)
       if (counts(g) == 0) removeGroup(k)
       rest &= rest - 1
     }
@@ -461,6 +464,13 @@ final class BingoVertex(
     if ((active & DecimalBit) == 0L) { decSum = 0.0; decMax = 0.0 } // no rounding drift once empty
     else if (maxGone) decMax = java.util.Arrays.stream(decArr, 0, d).max().getAsDouble
     touched
+  }
+
+  /** Group `i`'s member at list position `from` moves to position `to`. */
+  private def moveMember(i: Int, from: Int, to: Int): Unit = {
+    val list = lists(i)
+    list(to) = list(from)
+    setPos(i, list(to), to)
   }
 
   /** Apply Eq. 9 to touched group `k`; on a type change rebuild its
@@ -533,6 +543,33 @@ final class BingoVertex(
 
 object BingoVertex {
   private val InitialCap = 4
+
+  /** Scratch space of [[BingoVertex.applyBatch]], one per thread and
+    * fetched once per batch, so that no vertex holds a field for it and a
+    * batch allocates only for structural change: the freed slots, one
+    * group's doomed list positions, the batch's touches tallied by
+    * [[GroupType.id]] (added to [[ConversionStats]] once per batch), and,
+    * as a function, the move of the member-list compaction of the group it
+    * is pointed at.
+    */
+  private final class Scratch extends ((Int, Int) => Unit) {
+    var freed = new Array[Int](16)
+    var doomed = new Array[Int](16)
+    val touches = new Array[Long](GroupType.All.length)
+    private var vertex: BingoVertex = null
+    private var group = 0
+
+    /** Room for `n` freed slots and doomed positions. */
+    def reserve(n: Int): Unit = if (freed.length < n) {
+      freed = new Array[Int](math.max(n, 2 * freed.length))
+      doomed = new Array[Int](freed.length)
+    }
+
+    def point(v: BingoVertex, i: Int): Unit = { vertex = v; group = i }
+    def apply(from: Int, to: Int): Unit = vertex.moveMember(group, from, to)
+  }
+
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
   /** Group id of the decimal group (float-bias mode, §4.3): bit 63, which
     * no positive `Long` bias sets, marks its members.

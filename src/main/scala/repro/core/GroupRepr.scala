@@ -40,7 +40,7 @@ object GroupType {
     * reproduces the BaSeline (BS) design that keeps every group Regular.
     */
   def classify(count: Int, d: Int, adaptive: Boolean): GroupType = {
-    require(count > 0 && d > 0, s"classify needs count>0, d>0 (got $count, $d)")
+    if (count <= 0 || d <= 0) throw new IllegalArgumentException(s"requirement failed: classify needs count>0, d>0 (got $count, $d)")
     if (!adaptive) Regular
     else if (count == 1) OneElement
     else if (count * 100.0 / d > Alpha) Dense
@@ -51,12 +51,19 @@ object GroupType {
 
 /** Thread-safe counters of group-type conversions (paper Table 4) and of
   * group *touch* events (insertions/deletions applied to a group of a type).
+  * A conversion is counted as it happens; touches are tallied per batch and
+  * added once at the end of each [[BingoVertex.applyBatch]], so both are
+  * exact after every call.
   */
 final class ConversionStats extends Serializable {
   private val conv = Array.fill(4, 4)(new LongAdder)
   private val touch = Array.fill(4)(new LongAdder)
 
-  def recordTouch(from: GroupType): Unit = touch(from.id).increment()
+  /** Add one batch's touch tallies, indexed by [[GroupType.id]]. */
+  def recordTouches(tallies: Array[Long]): Unit = {
+    var t = 0
+    while (t < tallies.length) { if (tallies(t) != 0L) touch(t).add(tallies(t)); t += 1 }
+  }
   def recordConversion(from: GroupType, to: GroupType): Unit = conv(from.id)(to.id).increment()
 
   def conversions(from: GroupType, to: GroupType): Long = conv(from.id)(to.id).sum()

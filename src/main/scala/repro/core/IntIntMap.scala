@@ -30,7 +30,7 @@ final class IntIntMap(entries: Int = 0) extends Serializable {
 
   /** Map `key` to `value`; returns the previous value, or -1 if absent. */
   def put(key: Int, value: Int): Int = {
-    require(key >= 0 && value >= 0, s"IntIntMap holds non-negative keys and values, got $key -> $value")
+    if (key < 0 || value < 0) throw new IllegalArgumentException(s"requirement failed: IntIntMap holds non-negative keys and values, got $key -> $value")
     if (table.length == 0) table = newTable(MinCapacity)
     var i = indexOf(key)
     if (table(i) != Free) {

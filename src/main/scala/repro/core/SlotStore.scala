@@ -111,7 +111,10 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     * with [[SlotStore.twoPhaseCompact]].
     */
   protected final def compactSlots(freed: Array[Int], n: Int): Unit = {
-    d = SlotStore.twoPhaseCompact(freed, n, d)(move)
+    val m = slotMove.get()
+    m.store = this
+    d = SlotStore.twoPhaseCompact(freed, n, d)(m)
+    m.store = null
     if (d <= DropIndexAt) latest = null
   }
 
@@ -152,7 +155,12 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     else {
       nextDup(to) = next
       var prev = ring(from)
-      while (ring(prev) != from) prev = ring(prev)
+      var steps = 1
+      while (ring(prev) != from) {
+        if (steps >= d) throw new IllegalStateException(s"slot $from (dst $dst): its ring does not return to it within $d slots")
+        prev = ring(prev)
+        steps += 1
+      }
       nextDup(prev) = if (nextDup(prev) < 0) ~to else to
     }
     if (next < 0 && latest != null) latest.put(dst, to)
@@ -191,6 +199,16 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
 }
 
 object SlotStore {
+
+  /** The slot compaction's move, one per thread, pointed at the store it
+    * compacts: a compaction allocates no closure.
+    */
+  private final class SlotMove extends ((Int, Int) => Unit) {
+    var store: SlotStore = null
+    def apply(from: Int, to: Int): Unit = store.move(from, to)
+  }
+
+  private val slotMove = ThreadLocal.withInitial[SlotMove](() => new SlotMove)
 
   /** Most slots a vertex finds a dst among by scanning its dst column. */
   val MaxScan: Int = 32

@@ -25,16 +25,18 @@ final class BingoEngine(
   def outDegree(v: Int): Int = vertices(v).degree
   def hasEdge(u: Int, v: Int): Boolean = vertices(u).contains(v)
 
-  /** The vertex's updates as `dst` / `bias` / `insert` columns, one batch. */
+  private val ignored = new java.util.concurrent.atomic.LongAdder
+
+  /** The vertex's run of `dst` / `bias` / `insert` columns as one batch. */
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = {
-    val n = updates.length
-    val dst = new Array[Int](n)
-    val bias = new Array[Double](n)
-    val insert = new Array[Boolean](n)
-    var i = 0
-    for (u <- updates) { dst(i) = u.dst; bias(i) = u.bias; insert(i) = u.insert; i += 1 }
-    vertices(src).applyBatch(dst, bias, insert, 0, n)
+    val r = UpdateBatch.run(updates)
+    val applied = vertices(src).applyBatch(r.batch.dst, r.batch.bias, r.batch.insert, r.from, r.until)
+    val missed = r.deletes - applied
+    if (missed > 0) ignored.add(missed)
   }
+
+  /** Deletes of an edge the vertex did not hold, over every round so far. */
+  def ignoredDeletes: Long = ignored.sum()
 
   /** No global rebuild — Bingo's point. */
   def postRoundSlice(slice: Int, stride: Int): Unit = ()

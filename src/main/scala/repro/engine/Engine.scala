@@ -26,7 +26,10 @@ trait WalkEngine extends Serializable {
   def outDegree(v: Int): Int
   def hasEdge(u: Int, v: Int): Boolean
 
-  /** Apply this vertex's updates (timestamp order). Thread-safe across distinct `src`. */
+  /** Apply this vertex's updates (timestamp order). Thread-safe across
+    * distinct `src`. A round hands each vertex an [[UpdateBatch.Run]], a view
+    * of its slice batch's columns that the engines read directly.
+    */
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit
 
   /** Per-round rebuild for vertices `v` with `v % stride == slice`.

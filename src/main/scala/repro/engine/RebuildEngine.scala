@@ -43,12 +43,23 @@ abstract class RebuildEngine(val numVertices: Int) extends WalkEngine {
   def outDegree(v: Int): Int = adj(v).degree
   def hasEdge(u: Int, v: Int): Boolean = adj(u).contains(v)
 
+  private val ignored = new java.util.concurrent.atomic.LongAdder
+
   /** The run's inserts, then its deletes, as `BingoVertex.applyBatch` does (§5.2). */
   def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = {
+    val r = UpdateBatch.run(updates)
+    val b = r.batch
     val a = adj(src)
-    updates.foreach(u => if (u.insert) a.insert(u.dst, u.bias))
-    updates.foreach(u => if (!u.insert) a.delete(u.dst))
+    var i = r.from
+    while (i < r.until) { if (b.insert(i)) a.insert(b.dst(i), b.bias(i)); i += 1 }
+    var misses = 0
+    i = r.from
+    while (i < r.until) { if (!b.insert(i) && !a.delete(b.dst(i))) misses += 1; i += 1 }
+    if (misses > 0) ignored.add(misses)
   }
+
+  /** Deletes of an edge the vertex did not hold, over every round so far. */
+  def ignoredDeletes: Long = ignored.sum()
 
   /** The from-scratch per-round reconstruction of this slice's vertices. */
   def postRoundSlice(slice: Int, stride: Int): Unit = {

@@ -1,6 +1,5 @@
 package repro.engine
 
-import scala.collection.immutable.ArraySeq
 import repro.core.BingoVertex
 import repro.graph.{Edge, Update}
 
@@ -35,57 +34,147 @@ final class UpdateBatch private (val size: Int) extends Serializable {
     }
   }
 
-  /** Hand each vertex's run to [[WalkEngine.applyVertexUpdates]]. */
-  def applyTo(eng: WalkEngine): Unit = foreachRun { (v, from, until) =>
-    val us = ArraySeq.tabulate(until - from) { k => val i = from + k; Update(ts(i), insert(i), v, dst(i), bias(i)) }
-    eng.applyVertexUpdates(v, us)
-  }
-
-  /** Check every entry, then regroup the listed entries into `p` batches:
-    * batch `s` holds the runs of the vertices with `src % p == s`.
-    */
-  private def grouped(p: Int, n: Int, label: Int => String): Array[UpdateBatch] = {
-    val q = (n + p - 1) / p
-    def key(i: Int): Int = src(i) % p * q + src(i) / p // slice, then src
-    val next = new Array[Int](p * q + 1) // counting sort: run starts by key
-    for (i <- 0 until size) {
-      require(src(i) >= 0, s"${label(i)} has a negative src")
-      require(dst(i) >= 0, s"${label(i)} has a negative dst")
-      require(src(i) < n && dst(i) < n, s"${label(i)} names a vertex outside the engine's $n vertices")
-      val finite = bias(i) > 0.0 && bias(i) <= Double.MaxValue
-      require(!insert(i) || finite, s"${label(i)} has a bias that is not positive and finite")
-      require(!insert(i) || bias(i) < BingoVertex.TwoPow63, s"${label(i)} has a bias of 2^63 or more")
-      next(key(i) + 1) += 1
-    }
-    for (k <- 1 to p * q) next(k) += next(k - 1)
-    val base = Array.tabulate(p + 1)(s => next(s * q))
-    val out = Array.tabulate(p)(s => new UpdateBatch(base(s + 1) - base(s)))
-    val listed = Array.range(0, size)
-    val inOrder = java.util.stream.IntStream.range(1, size).allMatch(i => ts(i - 1) <= ts(i)) // unboxed, as below
-    java.util.Arrays.stream(if (inOrder) listed else listed.sortBy(ts(_))).forEach { i =>
-      out(src(i) % p).set(next(key(i)) - base(src(i) % p), ts(i), insert(i), src(i), dst(i), bias(i))
-      next(key(i)) += 1
-    }
-    out
-  }
+  /** Hand each vertex's run to [[WalkEngine.applyVertexUpdates]] as a [[UpdateBatch.Run]]. */
+  def applyTo(eng: WalkEngine): Unit = foreachRun((v, from, until) => eng.applyVertexUpdates(v, new UpdateBatch.Run(this, from, until)))
 }
 
 object UpdateBatch {
+
+  /** Entries `from until until` of `batch`, one vertex's run, seen as
+    * `Update`s: an engine reads the run's columns directly, and an `Update`
+    * is built only when something indexes the view.
+    */
+  final class Run private[engine] (private[engine] val batch: UpdateBatch, private[engine] val from: Int, private[engine] val until: Int)
+      extends IndexedSeq[Update] {
+    def length: Int = until - from
+    def apply(k: Int): Update = {
+      if (k < 0 || k >= length) throw new IndexOutOfBoundsException(s"$k is outside a run of $length updates")
+      val i = from + k
+      Update(batch.ts(i), batch.insert(i), batch.src(i), batch.dst(i), batch.bias(i))
+    }
+
+    /** How many of the run's entries are deletes. */
+    private[engine] def deletes: Int = {
+      var n = 0
+      var i = from
+      while (i < until) { if (!batch.insert(i)) n += 1; i += 1 }
+      n
+    }
+  }
+
+  /** `updates` as one run: a [[Run]] as it is, any other sequence (tests
+    * call engines with plain ones) copied in listed order into a one-run batch.
+    */
+  private[engine] def run(updates: Seq[Update]): Run = updates match {
+    case r: Run => r
+    case _ =>
+      val b = new UpdateBatch(updates.length)
+      var i = 0
+      updates.foreach { u => b.set(i, u.ts, u.insert, u.src, u.dst, u.bias); i += 1 }
+      new Run(b, 0, b.size)
+  }
+
   /** A round's updates for an engine of `n` vertices as `p` slice batches:
-    * batch `s` holds the updates with `src % p == s`.
+    * batch `s` holds the updates with `src % p == s`. Two passes: the first
+    * checks each update and counts its slice/src key, the second writes it
+    * straight into its slice batch.
     */
   def split(updates: Seq[Update], p: Int, n: Int): Array[UpdateBatch] = {
-    val b = new UpdateBatch(updates.length)
+    val slices = new Slices(updates.length, p, n)
+    var inOrder = true
+    var last = Long.MinValue
     var i = 0
-    for (u <- updates) { b.set(i, u.ts, u.insert, u.src, u.dst, u.bias); i += 1 }
-    b.grouped(p, n, i => s"update ${Update(b.ts(i), b.insert(i), b.src(i), b.dst(i), b.bias(i))}")
+    var it = updates.iterator
+    while (it.hasNext) {
+      val u = it.next()
+      check("update", u, u.insert, u.src, u.dst, u.bias, n)
+      slices.count(i, u.src)
+      inOrder &&= last <= u.ts
+      last = u.ts
+      i += 1
+    }
+    if (!inOrder) return split(updates.sortBy(_.ts), p, n) // stable: ties keep their listed order
+    val out = slices.batches()
+    i = 0
+    it = updates.iterator
+    while (it.hasNext) {
+      val u = it.next()
+      out(slices.slice(i)).set(slices.place(i), u.ts, u.insert, u.src, u.dst, u.bias)
+      i += 1
+    }
+    out
   }
 
   /** A snapshot as one batch of inserts, `ts` its listed order. */
   def snapshot(edges: Seq[Edge], n: Int): UpdateBatch = {
-    val b = new UpdateBatch(edges.length)
+    val slices = new Slices(edges.length, 1, n)
     var i = 0
-    for (e <- edges) { b.set(i, i, true, e.src, e.dst, e.bias); i += 1 }
-    b.grouped(1, n, i => s"snapshot edge ${Edge(b.src(i), b.dst(i), b.bias(i))}")(0)
+    var it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      check("snapshot edge", e, true, e.src, e.dst, e.bias, n)
+      slices.count(i, e.src)
+      i += 1
+    }
+    val b = slices.batches()(0)
+    i = 0
+    it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      b.set(slices.place(i), i, true, e.src, e.dst, e.bias)
+      i += 1
+    }
+    b
+  }
+
+  /** Fail on a malformed entry, named in the message as `kind` and `entry`. */
+  private def check(kind: String, entry: AnyRef, insert: Boolean, src: Int, dst: Int, bias: Double, n: Int): Unit = {
+    val fault =
+      if (src < 0) "has a negative src"
+      else if (dst < 0) "has a negative dst"
+      else if (src >= n || dst >= n) s"names a vertex outside the engine's $n vertices"
+      else if (insert && !(bias > 0.0 && bias <= Double.MaxValue)) "has a bias that is not positive and finite"
+      else if (insert && bias >= BingoVertex.TwoPow63) "has a bias of 2^63 or more"
+      else null
+    if (fault != null) throw new IllegalArgumentException(s"requirement failed: $kind $entry $fault")
+  }
+
+  /** The counting sort behind [[split]] and [[snapshot]] for `m` entries
+    * and `p` slices of `n` vertices: [[count]] records entry `i`'s key
+    * (slice, then src) in the first pass, [[batches]] sizes the slice
+    * batches, and [[slice]] / [[place]] give entry `i`'s batch and position
+    * in the second pass, which must visit the entries in the same order.
+    */
+  private final class Slices(m: Int, p: Int, n: Int) {
+    private val q = (n + p - 1) / p
+    private val keys = new Array[Int](m)
+    private val next = new Array[Int](p * q + 1) // per key: its count, then its next position
+
+    def count(i: Int, src: Int): Unit = {
+      val k = src % p * q + src / p
+      keys(i) = k
+      next(k + 1) += 1
+    }
+
+    def batches(): Array[UpdateBatch] = {
+      val out = new Array[UpdateBatch](p)
+      var s = 0
+      while (s < p) {
+        var k = s * q + 1 // positions restart at 0 in each slice
+        while (k <= (s + 1) * q) { next(k) += next(k - 1); k += 1 }
+        out(s) = new UpdateBatch(next((s + 1) * q))
+        next((s + 1) * q) = 0
+        s += 1
+      }
+      out
+    }
+
+    def slice(i: Int): Int = keys(i) / q
+
+    def place(i: Int): Int = {
+      val at = next(keys(i))
+      next(keys(i)) += 1
+      at
+    }
   }
 }

@@ -92,6 +92,37 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("a warm batch that grows no column and converts no group allocates nothing") {
+    val cs = new ConversionStats
+    val v = new BingoVertex(conversions = cs)
+    // 40 slots, so the dst index is kept: group 0 Dense (40 of 40), group 2 Regular (10), group 6 Sparse (2)
+    Batch(v, (0 until 40).map(i => (i, 1.0 + (if (i < 10) 4 else 0) + (if (i < 2) 64 else 0))), Nil)
+    // each batch swaps a member of all three groups for a dst of the same bias: insert one, delete the other
+    val dsts = Array(Array(40, 0), Array(0, 40))
+    val bias = Array(69.0, 0.0)
+    val insert = Array(true, false)
+    def swaps(n: Int): Int = { // deletes applied
+      var applied = 0
+      var i = 0
+      while (i < n) { applied += v.applyBatch(dsts(i & 1), bias, insert, 0, 2); i += 1 }
+      applied
+    }
+    assert(swaps(50000) == 50000) // JIT-compiled
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val (touched, converted) = (GroupType.All.map(cs.touches), cs.totalConversions)
+    val calibration = -mx.getCurrentThreadAllocatedBytes + mx.getCurrentThreadAllocatedBytes
+    val before = mx.getCurrentThreadAllocatedBytes
+    val applied = swaps(1000)
+    val allocated = mx.getCurrentThreadAllocatedBytes - before - calibration
+    assert(allocated == 0L, s"$allocated B over 1,000 batches")
+    assert(applied == 1000)
+    v.validate()
+    assert(GroupType.All.map(t => v.activeGroupBits.map(v.groupTypeOf(_).get).count(_ == t)) == Seq(1, 1, 1, 0))
+    assert(cs.totalConversions == converted)
+    // every batch touches each of the three groups twice, tallied exactly
+    assert(GroupType.All.map(cs.touches).zip(touched).map { case (a, b) => a - b } == Seq(2000L, 2000L, 2000L, 0L))
+  }
+
   test("pure-insert batch equals incremental inserts") {
     val rnd = new Random(123)
     val ns = (0 until 100).map(i => (i, (1 + rnd.nextInt(300)).toDouble))

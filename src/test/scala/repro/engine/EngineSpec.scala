@@ -194,6 +194,32 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     assert(e.exactDistribution(0) == Map(1 -> 1.0))
   }
 
+  test("Bingo: a Run view and an equal plain Seq[Update] leave identical vertices") {
+    val (v, edges) = smallWorld(5)
+    val plan = UpdateGen.plan(edges, UpdateMode.Mixed, 20, 4, 9L)
+    val (viaRuns, viaSeqs) = (BingoEngine.build(v, plan.initialEdges), BingoEngine.build(v, plan.initialEdges))
+    // each round also deletes an absent edge, and one dst more often than the vertex holds it
+    val rounds = plan.rounds.zipWithIndex.map { case (r, k) =>
+      val ts = r.last.ts
+      r ++ Seq(Update(ts + 1, false, k, k, 0.0), Update(ts + 2, true, k, 0, 3.0)) ++ Seq.tabulate(3)(i => Update(ts + 3 + i, false, k, 0, 0.0))
+    }
+    for (r <- rounds) {
+      viaRuns.applyRoundLocal(r)
+      r.groupBy(_.src).toSeq.sortBy(_._1).foreach { case (src, us) => viaSeqs.applyVertexUpdates(src, us.toList) }
+    }
+    assert(viaRuns.ignoredDeletes > 0 && viaRuns.ignoredDeletes == viaSeqs.ignoredDeletes)
+    (0 until v).foreach { u =>
+      val (a, b) = (viaRuns.vertices(u), viaSeqs.vertices(u))
+      def slots(x: repro.core.BingoVertex) = (0 until x.degree).map(s => (x.dstAt(s), x.scaledIntBiasAt(s), x.decimalAt(s)))
+      assert(slots(a) == slots(b), s"vertex $u")
+      assert(a.distribution == b.distribution, s"vertex $u")
+    }
+    import repro.core.GroupType.All
+    assert(All.map(viaRuns.conversions.touches) == All.map(viaSeqs.conversions.touches))
+    assert(All.flatMap(f => All.map(viaRuns.conversions.conversions(f, _))) == All.flatMap(f => All.map(viaSeqs.conversions.conversions(f, _))))
+    assert(viaRuns.groupTypeCensus == viaSeqs.groupTypeCensus)
+  }
+
   test("GraphStore register/get/remove") {
     val eng = BingoEngine.factory().build(2, Vector(Edge(0, 1, 1.0)))
     GraphStore.register("t", eng)

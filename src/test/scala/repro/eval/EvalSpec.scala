@@ -116,6 +116,39 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("ignored deletes are counted on the local and the Spark path, for Bingo and a baseline") {
+    // vertex 0 holds (0 → 1) twice and (0 → 2) once; (0 → 3) is absent
+    val initial = Seq(Edge(0, 1, 1.0), Edge(0, 1, 2.0), Edge(0, 2, 1.0), Edge(1, 0, 1.0))
+    val round = Seq(
+      Update(1, insert = false, 0, 3, 0.0), // absent: 1 ignored
+      Update(2, insert = true, 0, 1, 4.0),
+      Update(3, insert = false, 0, 1, 0.0), // (0 → 1) deleted 5 times, 3 instances: 2 ignored
+      Update(4, insert = false, 0, 1, 0.0),
+      Update(5, insert = false, 0, 1, 0.0),
+      Update(6, insert = false, 0, 1, 0.0),
+      Update(7, insert = false, 0, 1, 0.0),
+      Update(8, insert = false, 1, 0, 0.0), // applied
+      Update(9, insert = false, 1, 2, 0.0), // absent: 1 ignored
+    )
+    def ignored(e: WalkEngine): Long = e match {
+      case b: BingoEngine => b.ignoredDeletes
+      case r: RebuildEngine => r.ignoredDeletes
+    }
+    for (f <- Seq(BingoEngine.factory(), KnightKingEngine.factory)) {
+      val local = f.build(4, initial)
+      local.applyRoundLocal(round)
+      assert(ignored(local) == 4L, f.name)
+      local.applyRoundLocal(Seq(Update(10, insert = true, 2, 0, 1.0)))
+      assert(ignored(local) == 4L, f.name)
+      val viaSpark = f.build(4, initial)
+      GraphStore.register("eval-spec-ignored", viaSpark)
+      try Bench.applyRoundSpark(spark, "eval-spec-ignored", round)
+      finally GraphStore.remove("eval-spec-ignored")
+      assert(ignored(viaSpark) == 4L, f.name)
+      assert((0 until 4).map(viaSpark.outDegree) == Seq(1, 0, 0, 0) && viaSpark.hasEdge(0, 2), f.name)
+    }
+  }
+
   test("applyRoundSpark rejects a negative src before running any task") {
     val eng = BingoEngine.factory().build(4, Seq(Edge(0, 1, 1.0)))
     GraphStore.register("eval-spec-neg", eng)
