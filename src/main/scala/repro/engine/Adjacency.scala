@@ -21,7 +21,8 @@ final class Adjacency extends SlotStore(2) {
     */
   def insertAll(dst: Array[Int], bias: Array[Double], from: Int, until: Int): Unit = {
     reserve(until - from)
-    for (i <- from until until) insert(dst(i), bias(i))
+    var i = from
+    while (i < until) { insert(dst(i), bias(i)); i += 1 }
   }
 
   /** Delete the earliest surviving instance of (v → dst); false if absent. */

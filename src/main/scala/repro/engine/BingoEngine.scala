@@ -12,14 +12,11 @@ import repro.graph.{Edge, Update}
   *
   * @param adaptive   adaptive group representation (§5.1) vs BaSeline
   */
-final class BingoEngine(
-    val numVertices: Int,
-    val adaptive: Boolean = true,
-    val conversions: ConversionStats = new ConversionStats,
-) extends WalkEngine {
+final class BingoEngine private (val numVertices: Int, val adaptive: Boolean) extends WalkEngine {
+  val conversions: ConversionStats = new ConversionStats
 
-  val vertices: Array[BingoVertex] =
-    Array.fill(numVertices)(new BingoVertex(adaptive = adaptive, conversions = conversions))
+  /** One sampler per vertex, created by the build slice that fills it. */
+  val vertices: Array[BingoVertex] = new Array[BingoVertex](numVertices)
 
   def name: String = "Bingo"
   def outDegree(v: Int): Int = vertices(v).degree
@@ -65,17 +62,26 @@ final class BingoEngine(
 }
 
 object BingoEngine {
-  /** Build from a snapshot: one insert batch per source vertex. */
-  def build(numVertices: Int, initial: Seq[Edge], adaptive: Boolean = true): BingoEngine = {
+  /** Build from a snapshot: one insert batch per source vertex, applied
+    * as one slice per processor.
+    */
+  def build(numVertices: Int, initial: Seq[Edge], adaptive: Boolean = true): BingoEngine =
+    build(numVertices, initial, adaptive, UpdateBatch.buildSlices)
+
+  /** The build in `slices` slices at once ([[UpdateBatch.build]]). */
+  private[engine] def build(numVertices: Int, initial: Seq[Edge], adaptive: Boolean, slices: Int): BingoEngine = {
     val e = new BingoEngine(numVertices, adaptive)
-    val b = UpdateBatch.snapshot(initial, numVertices)
-    b.foreachRun((v, from, until) => e.vertices(v).applyBatch(b.dst, b.bias, b.insert, from, until))
+    UpdateBatch.build(initial, numVertices, slices) { (s, b) =>
+      var u = s
+      while (u < numVertices) { e.vertices(u) = new BingoVertex(adaptive = adaptive, conversions = e.conversions); u += slices }
+      b.foreachRun((v, from, until) => e.vertices(v).applyBatch(b.dst, b.bias, b.insert, from, until))
+    }
     e
   }
 
   def factory(adaptive: Boolean = true): EngineFactory = new EngineFactory {
     def name: String = "Bingo"
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine =
-      BingoEngine.build(numVertices, initial, adaptive)
+    private[engine] def build(numVertices: Int, initial: Seq[Edge], slices: Int): WalkEngine =
+      BingoEngine.build(numVertices, initial, adaptive, slices)
   }
 }

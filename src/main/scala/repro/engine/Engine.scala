@@ -53,10 +53,17 @@ trait WalkEngine extends Serializable {
   }
 }
 
-/** Builds an engine from an initial snapshot (one per compared system). */
+/** Builds an engine from an initial snapshot (one per compared system).
+  * A build is the first batch, every edge an insert, and runs as one slice
+  * per processor with a round's ownership (`v % slices`), the slices at
+  * once ([[UpdateBatch.build]]).
+  */
 trait EngineFactory extends Serializable {
   def name: String
-  def build(numVertices: Int, initial: Seq[Edge]): WalkEngine
+  def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = build(numVertices, initial, UpdateBatch.buildSlices)
+
+  /** The build in `slices` slices; one slice is the one-thread build. */
+  private[engine] def build(numVertices: Int, initial: Seq[Edge], slices: Int): WalkEngine
 }
 
 /** Executor-local registry so Spark tasks (local mode: same JVM) can reach

@@ -106,14 +106,17 @@ abstract class RebuildEngine(val numVertices: Int) extends WalkEngine {
 }
 
 object RebuildEngine {
-  /** Factory for a baseline: insert the checked snapshot into `adj`, then one full reload. */
+  /** Factory for a baseline: each slice inserts its part of the checked
+    * snapshot into `adj` and then reloads its vertices, as a round does.
+    */
   def factory(label: String, make: Int => RebuildEngine): EngineFactory = new EngineFactory {
     def name: String = label
-    def build(numVertices: Int, initial: Seq[Edge]): WalkEngine = {
+    private[engine] def build(numVertices: Int, initial: Seq[Edge], slices: Int): WalkEngine = {
       val e = make(numVertices)
-      val b = UpdateBatch.snapshot(initial, numVertices)
-      b.foreachRun((v, from, until) => e.adj(v).insertAll(b.dst, b.bias, from, until))
-      e.postRoundSlice(0, 1)
+      UpdateBatch.build(initial, numVertices, slices) { (s, b) =>
+        b.foreachRun((v, from, until) => e.adj(v).insertAll(b.dst, b.bias, from, until))
+        e.postRoundSlice(s, slices)
+      }
       e
     }
   }

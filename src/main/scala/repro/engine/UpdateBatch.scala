@@ -80,7 +80,7 @@ object UpdateBatch {
     * straight into its slice batch.
     */
   def split(updates: Seq[Update], p: Int, n: Int): Array[UpdateBatch] = {
-    val slices = new Slices(updates.length, p, n)
+    val slices = new Slices(updates.length, p, n, 1)
     var inOrder = true
     var last = Long.MinValue
     var i = 0
@@ -88,7 +88,7 @@ object UpdateBatch {
     while (it.hasNext) {
       val u = it.next()
       check("update", u, u.insert, u.src, u.dst, u.bias, n)
-      slices.count(i, u.src)
+      slices.count(0, i, u.src)
       inOrder &&= last <= u.ts
       last = u.ts
       i += 1
@@ -99,71 +99,145 @@ object UpdateBatch {
     it = updates.iterator
     while (it.hasNext) {
       val u = it.next()
-      out(slices.slice(i)).set(slices.place(i), u.ts, u.insert, u.src, u.dst, u.bias)
+      out(slices.slice(i)).set(slices.place(0, i), u.ts, u.insert, u.src, u.dst, u.bias)
       i += 1
     }
     out
   }
 
   /** A snapshot as one batch of inserts, `ts` its listed order. */
-  def snapshot(edges: Seq[Edge], n: Int): UpdateBatch = {
-    val slices = new Slices(edges.length, 1, n)
-    var i = 0
-    var it = edges.iterator
-    while (it.hasNext) {
-      val e = it.next()
+  def snapshot(edges: Seq[Edge], n: Int): UpdateBatch = snapshot(edges, n, 1)(0)
+
+  /** A snapshot as `p` slice batches of inserts, `ts` its listed order:
+    * batch `s` holds the edges with `src % p == s`, as [[split]] would.
+    * Both passes run on `p` contiguous chunks of the edges at once (see
+    * [[inSlices]]), and each chunk writes its entries at positions of its
+    * own. A chunk stops at its first malformed edge; after the first pass
+    * the lowest such index fails, with the message a one-thread pass gives.
+    */
+  private[engine] def snapshot(edges: Seq[Edge], n: Int, p: Int): Array[UpdateBatch] = {
+    val es = edges.toArray
+    val m = es.length
+    val slices = new Slices(m, p, n, p)
+    val bad = Array.fill(p)(m) // per chunk: the index of its first malformed edge, m if none
+    inSlices(p) { c =>
+      var i = slices.chunkStart(c)
+      val end = slices.chunkStart(c + 1)
+      while (i < end) {
+        val e = es(i)
+        if (fault(true, e.src, e.dst, e.bias, n) != null) { bad(c) = i; i = end }
+        else { slices.count(c, i, e.src); i += 1 }
+      }
+    }
+    val first = bad.min
+    if (first < m) {
+      val e = es(first)
       check("snapshot edge", e, true, e.src, e.dst, e.bias, n)
-      slices.count(i, e.src)
-      i += 1
     }
-    val b = slices.batches()(0)
-    i = 0
-    it = edges.iterator
-    while (it.hasNext) {
-      val e = it.next()
-      b.set(slices.place(i), i, true, e.src, e.dst, e.bias)
-      i += 1
+    val out = slices.batches()
+    inSlices(p) { c =>
+      var i = slices.chunkStart(c)
+      val end = slices.chunkStart(c + 1)
+      while (i < end) {
+        val e = es(i)
+        out(slices.slice(i)).set(slices.place(c, i), i, true, e.src, e.dst, e.bias)
+        i += 1
+      }
     }
-    b
+    out
+  }
+
+  /** Slices of a build: one per processor, as in a Spark round. */
+  private[engine] def buildSlices: Int = Runtime.getRuntime.availableProcessors
+
+  /** Build from a snapshot in `p` slices: [[snapshot]], then `f(s, batch)`
+    * for each slice `s` (the vertices `v % p == s`) with its batch of
+    * inserts, the slices run at once by [[inSlices]]. No vertex is touched
+    * before every edge has been checked.
+    */
+  private[engine] def build(edges: Seq[Edge], n: Int, p: Int)(f: (Int, UpdateBatch) => Unit): Unit = {
+    val batches = snapshot(edges, n, p)
+    inSlices(p)(s => f(s, batches(s)))
+  }
+
+  /** `f(s)` for each `s < p`, on one thread fewer than there are
+    * processors (at most `p`, at least one): the calling thread and daemon
+    * threads started for the call, each taking the next slice until none
+    * is left. The free processor is the JIT compiler's: in a fresh JVM, a
+    * build on every processor ran its second and third builds half
+    * compiled (EXPERIMENTS.md, "Snapshot build time"). The first failure is rethrown once all are done.
+    */
+  private def inSlices(p: Int)(f: Int => Unit): Unit = {
+    val next = new java.util.concurrent.atomic.AtomicInteger
+    val failure = new java.util.concurrent.atomic.AtomicReference[Throwable]
+    val work: Runnable = () =>
+      try {
+        var s = next.getAndIncrement()
+        while (s < p) { f(s); s = next.getAndIncrement() }
+      } catch { case t: Throwable => failure.compareAndSet(null, t) }
+    val helpers = Array.fill(math.min(p, Runtime.getRuntime.availableProcessors - 1) - 1)(new Thread(work))
+    helpers.foreach { t => t.setDaemon(true); t.start() }
+    work.run()
+    helpers.foreach(_.join())
+    if (failure.get != null) throw failure.get
   }
 
   /** Fail on a malformed entry, named in the message as `kind` and `entry`. */
   private def check(kind: String, entry: AnyRef, insert: Boolean, src: Int, dst: Int, bias: Double, n: Int): Unit = {
-    val fault =
-      if (src < 0) "has a negative src"
-      else if (dst < 0) "has a negative dst"
-      else if (src >= n || dst >= n) s"names a vertex outside the engine's $n vertices"
-      else if (insert && !(bias > 0.0 && bias <= Double.MaxValue)) "has a bias that is not positive and finite"
-      else if (insert && bias >= BingoVertex.TwoPow63) "has a bias of 2^63 or more"
-      else null
-    if (fault != null) throw new IllegalArgumentException(s"requirement failed: $kind $entry $fault")
+    val f = fault(insert, src, dst, bias, n)
+    if (f != null) throw new IllegalArgumentException(s"requirement failed: $kind $entry $f")
   }
 
-  /** The counting sort behind [[split]] and [[snapshot]] for `m` entries
-    * and `p` slices of `n` vertices: [[count]] records entry `i`'s key
-    * (slice, then src) in the first pass, [[batches]] sizes the slice
-    * batches, and [[slice]] / [[place]] give entry `i`'s batch and position
-    * in the second pass, which must visit the entries in the same order.
-    */
-  private final class Slices(m: Int, p: Int, n: Int) {
-    private val q = (n + p - 1) / p
-    private val keys = new Array[Int](m)
-    private val next = new Array[Int](p * q + 1) // per key: its count, then its next position
+  /** What is wrong with an entry, or null if nothing is. */
+  private def fault(insert: Boolean, src: Int, dst: Int, bias: Double, n: Int): String =
+    if (src < 0) "has a negative src"
+    else if (dst < 0) "has a negative dst"
+    else if (src >= n || dst >= n) s"names a vertex outside the engine's $n vertices"
+    else if (insert && !(bias > 0.0 && bias <= Double.MaxValue)) "has a bias that is not positive and finite"
+    else if (insert && bias >= BingoVertex.TwoPow63) "has a bias of 2^63 or more"
+    else null
 
-    def count(i: Int, src: Int): Unit = {
+  /** The counting sort behind [[split]] and [[snapshot]] for `m` entries,
+    * `p` slices of `n` vertices and `chunks` contiguous chunks of the
+    * entries. In the first pass [[count]] records entry `i`'s key (slice,
+    * then src) and counts it in its chunk; [[batches]] sizes the slice
+    * batches and gives each chunk its own next position per key, after
+    * those of the lower chunks; in the second pass [[slice]] / [[place]]
+    * give entry `i`'s batch and position. Each chunk's second pass must
+    * visit its entries in the order of its first; chunks may run at once.
+    */
+  private final class Slices(m: Int, p: Int, n: Int, chunks: Int) {
+    private val q = (n + p - 1) / p
+    private val width = p * q // keys per chunk
+    private val keys = new Array[Int](m)
+    private val next = new Array[Int](chunks * width) // at c * width + key: the chunk's count, then its next position
+
+    /** The first entry of chunk `c`; `chunkStart(chunks)` is `m`. */
+    def chunkStart(c: Int): Int = (c.toLong * m / chunks).toInt
+
+    def count(c: Int, i: Int, src: Int): Unit = {
       val k = src % p * q + src / p
       keys(i) = k
-      next(k + 1) += 1
+      next(c * width + k) += 1
     }
 
     def batches(): Array[UpdateBatch] = {
       val out = new Array[UpdateBatch](p)
       var s = 0
       while (s < p) {
-        var k = s * q + 1 // positions restart at 0 in each slice
-        while (k <= (s + 1) * q) { next(k) += next(k - 1); k += 1 }
-        out(s) = new UpdateBatch(next((s + 1) * q))
-        next((s + 1) * q) = 0
+        var at = 0 // positions restart at 0 in each slice
+        var k = s * q
+        while (k < (s + 1) * q) {
+          var j = k
+          while (j < next.length) {
+            val counted = next(j)
+            next(j) = at
+            at += counted
+            j += width
+          }
+          k += 1
+        }
+        out(s) = new UpdateBatch(at)
         s += 1
       }
       out
@@ -171,9 +245,10 @@ object UpdateBatch {
 
     def slice(i: Int): Int = keys(i) / q
 
-    def place(i: Int): Int = {
-      val at = next(keys(i))
-      next(keys(i)) += 1
+    def place(c: Int, i: Int): Int = {
+      val j = c * width + keys(i)
+      val at = next(j)
+      next(j) = at + 1
       at
     }
   }

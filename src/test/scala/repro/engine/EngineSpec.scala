@@ -75,6 +75,18 @@ class EngineSpec extends AnyFunSuite with Tolerance {
     }
   }
 
+  test("every factory, in any number of slices, rejects the first malformed snapshot edge in listed order") {
+    val ok = Vector.tabulate(100)(i => Edge(i % 3, (i + 1) % 3, 1.0 + i))
+    val (first, second) = (Edge(1, 7, 1.0), Edge(-1, 0, 1.0))
+    // indices 30 and 80 fall in different chunks for every p from 2 on
+    val edges = ok.updated(30, first).updated(80, second)
+    for ((f, tag) <- factories; p <- Seq(UpdateBatch.buildSlices, 2, 4, 64)) {
+      val ex = intercept[IllegalArgumentException](f.build(3, edges, p))
+      assert(ex.getClass == classOf[IllegalArgumentException], s"$tag p=$p")
+      assert(ex.getMessage == s"requirement failed: snapshot edge $first names a vertex outside the engine's 3 vertices", s"$tag p=$p")
+    }
+  }
+
   test("every factory accepts the bias range's ends, exact to w/Σw") {
     // MinPositiveValue and 0.5 sit in decimal group 63 only; 2^62 and nextDown(2^63) in radix groups only
     for ((f, tag) <- factories; w <- EngineSpec.AcceptedBiases) {

@@ -47,6 +47,22 @@ class UpdateBatchSpec extends AnyFunSuite {
     assert(UpdateBatch.snapshot(Nil, 0).size == 0)
   }
 
+  test("snapshot in p slices equals split of the same edges as inserts, ts their listed index") {
+    val rnd = new Random(7)
+    val n = 40
+    def edges(m: Int) = Vector.fill(m)(Edge(rnd.nextInt(n), rnd.nextInt(n), 1.0 + rnd.nextInt(9)))
+    // lists shorter than some p or every p, the empty one, and one that is not an IndexedSeq
+    val lists = Seq(Vector.empty[Edge], edges(1), edges(3), edges(63), edges(500), edges(97).toList)
+    for (listed <- lists; p <- Seq(1, 3, 4, 64)) {
+      val got = UpdateBatch.snapshot(listed, n, p)
+      val want = UpdateBatch.split(listed.zipWithIndex.map { case (e, i) => Update(i, true, e.src, e.dst, e.bias) }, p, n)
+      assert(got.length == p)
+      got.zip(want).zipWithIndex.foreach { case ((g, w), s) =>
+        assert(entries(g) == entries(w), s"${listed.length} edges, p=$p slice $s")
+      }
+    }
+  }
+
   test("applyTo hands each vertex its run once, as Update objects in ts order") {
     val seen = Seq.newBuilder[(Int, Seq[Update])]
     val recorder = new WalkEngine {
