@@ -161,11 +161,11 @@ object UpdateBatch {
   }
 
   /** `f(s)` for each `s < p`, on one thread fewer than there are
-    * processors (at most `p`, at least one): the calling thread and daemon
-    * threads started for the call, each taking the next slice until none
-    * is left. The free processor is the JIT compiler's: in a fresh JVM, a
-    * build on every processor ran its second and third builds half
-    * compiled (EXPERIMENTS.md, "Snapshot build time"). The first failure is rethrown once all are done.
+    * processors (at most `p`, at least one): the caller and daemon threads
+    * started for the call, each taking the next slice until none is left.
+    * The free processor is the JIT compiler's, which a fresh JVM's first
+    * builds wait on (EXPERIMENTS.md, "Snapshot build time"). The first
+    * failure is rethrown once all are done.
     */
   private def inSlices(p: Int)(f: Int => Unit): Unit = {
     val next = new java.util.concurrent.atomic.AtomicInteger
