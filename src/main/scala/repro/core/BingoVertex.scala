@@ -62,6 +62,7 @@ final class BingoVertex(
   // Public API
   // =======================================================================
 
+  /** Slot `slot`'s integer bias, without the decimal bit (read by `Vertices` and the core and engine specs). */
   def scaledIntBiasAt(slot: Int): Long = biasIntArr(slot) & ~DecimalBit
   def decimalAt(slot: Int): Double = if (decArr == null) 0.0 else decArr(slot)
 
@@ -216,8 +217,6 @@ final class BingoVertex(
     p.toMap
   }
 
-  def structProbabilityOf(dst: Int): Double = distribution.getOrElse(dst, 0.0)
-
   def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(typeAt(indexOf(k))) else None
   def groupCountOf(k: Int): Int = if (isActive(k)) counts(indexOf(k)) else 0
   /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
@@ -241,7 +240,7 @@ final class BingoVertex(
     m
   }
 
-  /** Fail-fast structural invariant check (test support). */
+  /** Fail-fast structural invariant check (read by the core specs and MemoryModelSpec). */
   def validate(): Unit = {
     // group counts and memberships, over all 64 ids
     var k = 0

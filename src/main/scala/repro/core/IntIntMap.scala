@@ -115,6 +115,6 @@ object IntIntMap {
     ((h ^ (h >>> 16)) << 1) & mask
   }
 
-  /** Entry index (0 until `capacity`) where `key`'s probe run starts. */
+  /** Entry index (0 until `capacity`) where `key`'s probe run starts (read by IntIntMapSpec and SlotStoreSpec). */
   private[core] def homeEntry(key: Int, capacity: Int): Int = home(key, 2 * capacity - 1) / 2
 }

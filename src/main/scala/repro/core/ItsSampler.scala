@@ -10,7 +10,7 @@ import java.util.SplittableRandom
   * O(log d) sampling, O(1) amortised insertion (append one prefix entry),
   * O(d) deletion (the suffix of the CDF must be rebuilt).
   */
-final class ItsSampler extends Serializable {
+final class ItsSampler extends DynamicSampler with Serializable {
   import ItsSampler.{draw, fillCdf}
 
   private var weights = new Array[Double](4)
@@ -18,8 +18,8 @@ final class ItsSampler extends Serializable {
   private var n = 0
 
   def size: Int = n
+  /** The CDF's last entry (read by ClassicSamplersSpec). */
   def totalWeight: Double = if (n == 0) 0.0 else cdf(n - 1)
-  def weightOf(i: Int): Double = weights(i)
 
   private def grow(): Unit = {
     if (n == weights.length) {
@@ -30,7 +30,7 @@ final class ItsSampler extends Serializable {
 
   /** O(1) amortised — append a candidate with weight `w`. */
   def insert(w: Double): Unit = {
-    require(w > 0.0, s"weight must be positive: $w")
+    require(w > 0.0 && w <= Double.MaxValue, s"weight must be positive and finite: $w")
     grow()
     weights(n) = w
     fillCdf(weights, cdf, n, n + 1)
@@ -51,10 +51,11 @@ final class ItsSampler extends Serializable {
     draw(cdf, n, rng)
   }
 
-  /** Exact probability of candidate `i`. */
-  def probabilityOf(i: Int): Double = weights(i) / totalWeight
+  /** Exact probability of candidate `i`, off the CDF that [[sample]] draws on (read by ClassicSamplersSpec). */
+  def probabilityOf(i: Int): Double = (cdf(i) - (if (i == 0) 0.0 else cdf(i - 1))) / cdf(n - 1)
 
-  def memoryBytes: Long = weights.length.toLong * 16
+  /** The object (two references and `n`) and its two arrays. */
+  def memoryBytes: Long = Heap.obj(2 * Heap.Ref + 4) + 2 * Heap.array(weights.length, 8)
 }
 
 object ItsSampler {
@@ -80,11 +81,5 @@ object ItsSampler {
       if (cdf(mid) <= x) lo = mid + 1 else hi = mid
     }
     lo
-  }
-
-  def apply(ws: Seq[Double]): ItsSampler = {
-    val s = new ItsSampler
-    ws.foreach(s.insert)
-    s
   }
 }

@@ -10,22 +10,23 @@ import java.util.SplittableRandom
   * is O(d) — matching Table 1 — because the deleted candidate must be
   * located by value/position scan and a vanished maximum forces a rescan.
   */
-final class RejectionSampler extends Serializable {
+final class RejectionSampler extends DynamicSampler with Serializable {
   private var weights = new Array[Double](4)
   private var n = 0
   private var maxW = 0.0
 
-  /** Cumulative number of rejected proposals (for rejection-rate studies). */
+  /** Cumulative number of rejected proposals (read by ClassicSamplersSpec). */
   var rejections: Long = 0L
 
   def size: Int = n
+  /** The running maximum, the acceptance bound (read by ClassicSamplersSpec). */
   def maxWeight: Double = maxW
+  /** Candidate `i`'s weight (read by ClassicSamplersSpec). */
   def weightOf(i: Int): Double = weights(i)
-  def totalWeight: Double = { var s = 0.0; var i = 0; while (i < n) { s += weights(i); i += 1 }; s }
 
   /** O(1) amortised. */
   def insert(w: Double): Unit = {
-    require(w > 0.0, s"weight must be positive: $w")
+    require(w > 0.0 && w <= Double.MaxValue, s"weight must be positive and finite: $w")
     if (n == weights.length) weights = java.util.Arrays.copyOf(weights, n * 2)
     weights(n) = w
     n += 1
@@ -56,16 +57,6 @@ final class RejectionSampler extends Serializable {
     -1 // unreachable
   }
 
-  /** Exact probability of candidate `i`. */
-  def probabilityOf(i: Int): Double = weights(i) / totalWeight
-
-  def memoryBytes: Long = weights.length.toLong * 8
-}
-
-object RejectionSampler {
-  def apply(ws: Seq[Double]): RejectionSampler = {
-    val s = new RejectionSampler
-    ws.foreach(s.insert)
-    s
-  }
+  /** The object (a reference, `n`, `maxW` and `rejections`) and its array. */
+  def memoryBytes: Long = Heap.obj(Heap.Ref + 4 + 2 * 8) + Heap.array(weights.length, 8)
 }

@@ -41,6 +41,7 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
   private var latest: IntIntMap = null
 
   def degree: Int = d
+  /** The dst held in `slot` (read by `Vertices` and the core and engine specs). */
   def dstAt(slot: Int): Int = dstArr(slot)
   def contains(dst: Int): Boolean = latestSlot(dst) >= 0
   private[core] def capacity: Int = dstArr.length
@@ -83,13 +84,13 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     slot
   }
 
-  /** Earliest slot holding `dst`, or -1 if there is none. */
+  /** Earliest slot holding `dst`, or -1 if there is none (read by SlotStoreSpec). */
   protected final def firstSlotOf(dst: Int): Int = {
     val last = latestSlot(dst)
     if (last < 0) -1 else ~nextDup(last)
   }
 
-  /** Next later slot holding the same dst as `slot`, or -1 after the latest. */
+  /** Next later slot holding the same dst as `slot`, or -1 after the latest (read by SlotStoreSpec). */
   protected final def nextSlotOf(slot: Int): Int = math.max(nextDup(slot), -1)
 
   /** Unindex the earliest surviving instance of `dst` and return its slot,
@@ -177,7 +178,7 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     * starts a ring through that dst's slots back to it; that the rings cover
     * every slot exactly once; and that the dst index exists past
     * [[SlotStore.MaxScan]] slots, not at [[SlotStore.DropIndexAt]] or fewer,
-    * and maps each dst to its latest slot.
+    * and maps each dst to its latest slot (read by SlotStoreSpec and [[BingoVertex.validate]]).
     */
   protected final def validateSlots(): Unit = {
     require(if (d > MaxScan) latest != null else d > DropIndexAt || latest == null, s"dst index ${latest != null} at $d slots")

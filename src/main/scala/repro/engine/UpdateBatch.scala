@@ -105,22 +105,19 @@ object UpdateBatch {
     out
   }
 
-  /** A snapshot as one batch of inserts, `ts` its listed order. */
-  def snapshot(edges: Seq[Edge], n: Int): UpdateBatch = snapshot(edges, n, 1)(0)
-
   /** A snapshot as `p` slice batches of inserts, `ts` its listed order:
     * batch `s` holds the edges with `src % p == s`, as [[split]] would.
-    * Both passes run on `p` contiguous chunks of the edges at once (see
-    * [[inSlices]]), and each chunk writes its entries at positions of its
-    * own. A chunk stops at its first malformed edge; after the first pass
+    * Both passes run on up to `p` contiguous chunks of the edges at once
+    * (see [[inSlices]]), and each chunk writes its entries at positions of
+    * its own. A chunk stops at its first malformed edge; after the first pass
     * the lowest such index fails, with the message a one-thread pass gives.
     */
   private[engine] def snapshot(edges: Seq[Edge], n: Int, p: Int): Array[UpdateBatch] = {
     val es = edges.toArray
     val m = es.length
     val slices = new Slices(m, p, n, p)
-    val bad = Array.fill(p)(m) // per chunk: the index of its first malformed edge, m if none
-    inSlices(p) { c =>
+    val bad = Array.fill(slices.chunks)(m) // per chunk: the index of its first malformed edge, m if none
+    inSlices(slices.chunks) { c =>
       var i = slices.chunkStart(c)
       val end = slices.chunkStart(c + 1)
       while (i < end) {
@@ -135,7 +132,7 @@ object UpdateBatch {
       check("snapshot edge", e, true, e.src, e.dst, e.bias, n)
     }
     val out = slices.batches()
-    inSlices(p) { c =>
+    inSlices(slices.chunks) { c =>
       var i = slices.chunkStart(c)
       val end = slices.chunkStart(c + 1)
       while (i < end) {
@@ -198,17 +195,21 @@ object UpdateBatch {
     else null
 
   /** The counting sort behind [[split]] and [[snapshot]] for `m` entries,
-    * `p` slices of `n` vertices and `chunks` contiguous chunks of the
-    * entries. In the first pass [[count]] records entry `i`'s key (slice,
-    * then src) and counts it in its chunk; [[batches]] sizes the slice
-    * batches and gives each chunk its own next position per key, after
-    * those of the lower chunks; in the second pass [[slice]] / [[place]]
-    * give entry `i`'s batch and position. Each chunk's second pass must
-    * visit its entries in the order of its first; chunks may run at once.
+    * `p` slices of `n` vertices and up to `maxChunks` contiguous chunks of
+    * the entries. A chunk counts p·⌈n/p⌉ keys, so there is at most one chunk
+    * per that many entries: p chunks' counters would pass 2^31 at the
+    * paper's TW scale (41.7M vertices) on 52 processors. In the first pass
+    * [[count]] records entry `i`'s key (slice, then src) and counts it in
+    * its chunk; [[batches]] sizes the slice batches and gives each chunk its
+    * own next position per key, after those of the lower chunks; in the
+    * second pass [[slice]] / [[place]] give entry `i`'s batch and position.
+    * Each chunk's second pass must visit its entries in the order of its
+    * first; chunks may run at once.
     */
-  private final class Slices(m: Int, p: Int, n: Int, chunks: Int) {
+  private final class Slices(m: Int, p: Int, n: Int, maxChunks: Int) {
     private val q = (n + p - 1) / p
     private val width = p * q // keys per chunk
+    val chunks: Int = math.min(maxChunks, math.max(1, m / math.max(1, width)))
     private val keys = new Array[Int](m)
     private val next = new Array[Int](chunks * width) // at c * width + key: the chunk's count, then its next position
 

@@ -18,25 +18,14 @@ object Tables {
   // Table 1 — complexity of Bingo vs Alias / ITS / Rejection
   // =========================================================================
 
-  /** A uniform dynamic-sampler facade for the complexity sweep. */
-  private trait DynSampler {
-    def name: String
-    def size: Int
-    def insert(w: Long): Unit
-    def deleteRandom(rng: SplittableRandom): Unit
-    def sample(rng: SplittableRandom): Int
-    def memoryBytes: Long
-  }
-
-  private final class BingoDyn extends DynSampler {
+  /** Bingo as a [[DynamicSampler]]: candidate i is dst `dsts(i)`; a delete swaps the last into place i. */
+  private final class BingoDyn extends DynamicSampler {
     private val v = new BingoVertex()
     private val dsts = new scala.collection.mutable.ArrayBuffer[Int]()
     private var nextDst = 0
-    def name = "Bingo"
     def size: Int = v.degree
-    def insert(w: Long): Unit = { v.insert(nextDst, w.toDouble); dsts += nextDst; nextDst += 1 }
-    def deleteRandom(rng: SplittableRandom): Unit = {
-      val i = rng.nextInt(dsts.length)
+    def insert(w: Double): Unit = { v.insert(nextDst, w); dsts += nextDst; nextDst += 1 }
+    def delete(i: Int): Unit = {
       v.delete(dsts(i))
       dsts(i) = dsts(dsts.length - 1)
       dsts.remove(dsts.length - 1)
@@ -45,15 +34,14 @@ object Tables {
     def memoryBytes: Long = v.memoryBytes
   }
 
-  private final class AliasDyn extends DynSampler {
+  /** An [[AliasTable]] rebuilt on every update; a delete swaps the last weight into place i. */
+  private final class AliasDyn extends DynamicSampler {
     private val ws = new scala.collection.mutable.ArrayBuffer[Double]()
     private var table: AliasTable = null
-    def name = "Alias Method"
     def size: Int = ws.length
     private def rebuild(): Unit = table = if (ws.isEmpty) null else AliasTable(ws.toArray)
-    def insert(w: Long): Unit = { ws += w.toDouble; rebuild() } // O(d) rebuild per update
-    def deleteRandom(rng: SplittableRandom): Unit = {
-      val i = rng.nextInt(ws.length)
+    def insert(w: Double): Unit = { ws += w; rebuild() } // O(d) rebuild per update
+    def delete(i: Int): Unit = {
       ws(i) = ws(ws.length - 1)
       ws.remove(ws.length - 1)
       rebuild()
@@ -62,29 +50,9 @@ object Tables {
     def memoryBytes: Long = if (table == null) 0 else table.memoryBytes + ws.length.toLong * 8
   }
 
-  private final class ItsDyn extends DynSampler {
-    private val s = new ItsSampler
-    def name = "ITS"
-    def size: Int = s.size
-    def insert(w: Long): Unit = s.insert(w.toDouble)
-    def deleteRandom(rng: SplittableRandom): Unit = s.delete(rng.nextInt(s.size))
-    def sample(rng: SplittableRandom): Int = s.sample(rng)
-    def memoryBytes: Long = s.memoryBytes
-  }
-
-  private final class RejDyn extends DynSampler {
-    private val s = new RejectionSampler
-    def name = "Rejection"
-    def size: Int = s.size
-    def insert(w: Long): Unit = s.insert(w.toDouble)
-    def deleteRandom(rng: SplittableRandom): Unit = s.delete(rng.nextInt(s.size))
-    def sample(rng: SplittableRandom): Int = s.sample(rng)
-    def memoryBytes: Long = s.memoryBytes
-  }
-
   /** Power-law weight for candidate i, capped at maxW (degree-bias-like). */
-  private def plWeight(i: Int, maxW: Long): Long =
-    math.max(1L, math.round(maxW / math.pow(i % 9973 + 1.0, 0.7)))
+  private def plWeight(i: Int, maxW: Long): Double =
+    math.max(1L, math.round(maxW / math.pow(i % 9973 + 1.0, 0.7))).toDouble
 
   final case class Table1Row(
       method: String,
@@ -108,15 +76,19 @@ object Tables {
       sampleCount: Int = 100000,
       warmup: Boolean = true,
   ): Seq[Table1Row] = {
-    val makers: Seq[() => DynSampler] =
-      Seq(() => new BingoDyn, () => new AliasDyn, () => new ItsDyn, () => new RejDyn)
-    if (warmup) makers.foreach { mk =>
+    val makers: Seq[(String, () => DynamicSampler)] = Seq(
+      "Bingo" -> (() => new BingoDyn),
+      "Alias Method" -> (() => new AliasDyn),
+      "ITS" -> (() => new ItsSampler),
+      "Rejection" -> (() => new RejectionSampler),
+    )
+    if (warmup) makers.foreach { case (_, mk) =>
       val s = mk()
       val rng = new SplittableRandom(7)
       (0 until 2048).foreach(i => s.insert(plWeight(i, maxW)))
       (0 until 20000).foreach(_ => s.sample(rng))
       (0 until 500).foreach(i => s.insert(plWeight(i, maxW)))
-      (0 until 500).foreach(_ => s.deleteRandom(rng))
+      (0 until 500).foreach(_ => s.delete(rng.nextInt(s.size)))
     }
     // median-of-batches timing: a single GC pause in one batch cannot skew
     // the reported per-op cost
@@ -131,7 +103,7 @@ object Tables {
     }
 
     for {
-      mk <- makers
+      (label, mk) <- makers
       d <- degrees
     } yield {
       val s = mk()
@@ -142,9 +114,9 @@ object Tables {
       var sink = 0
       val sampleNs = timed(5, sampleCount / 5)(_ => sink ^= s.sample(rng))
       val insertNs = timed(5, opCount / 5)(i => s.insert(plWeight(i + d, maxW)))
-      val deleteNs = timed(5, opCount / 5)(_ => s.deleteRandom(rng))
+      val deleteNs = timed(5, opCount / 5)(_ => s.delete(rng.nextInt(s.size)))
       require(sink != Int.MinValue) // keep the JIT honest
-      Table1Row(s.name, d, insertNs, deleteNs, sampleNs, mem)
+      Table1Row(label, d, insertNs, deleteNs, sampleNs, mem)
     }
   }
 

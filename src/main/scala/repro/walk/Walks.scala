@@ -3,8 +3,7 @@ package repro.walk
 import java.util.SplittableRandom
 import scala.reflect.ClassTag
 import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.engine.{GraphStore, WalkEngine}
 
 /** The random-walk applications of paper §6.1 over any [[WalkEngine]].
@@ -14,10 +13,8 @@ import repro.engine.{GraphStore, WalkEngine}
   * walker against an engine, in one loop for all four apps. [[runWalkers]]
   * fans walkers out across Spark tasks (partitioned across cores — the
   * stand-in for GPU thread parallelism), each walking locally against the
-  * engine registered in [[GraphStore]]. Its consumers are
-  * [[repro.eval.Bench.runWalksSpark]], which counts and times the steps, and
-  * [[paths]], which returns the paths as a DataFrame for relational
-  * aggregation (visit counts etc.).
+  * engine registered in [[GraphStore]]; [[repro.eval.Bench.runWalksSpark]]
+  * counts and times the steps it walks.
   */
 object Walks {
 
@@ -120,21 +117,4 @@ object Walks {
       })
     })
   }
-
-  /** The walkers' paths from [[runWalkers]], collected to the driver as a DataFrame
-    * (walker: long, pos: int, vertex: int), one row per visited vertex in path order.
-    */
-  def paths(spark: SparkSession, handle: String, app: WalkApp, numWalkers: Int, seed: Long): DataFrame = {
-    import spark.implicits._
-    val rows = runWalkers(spark, handle, app, numWalkers, seed) { walks =>
-      walks.flatMap { case (w, path) => path.iterator.zipWithIndex.map { case (v, pos) => (w, pos, v) } }.toArray
-    }
-    rows.toSeq.flatten.toDF("walker", "pos", "vertex")
-  }
-
-  /** Visit frequency per vertex — the PPR / SimRank / influence indicator
-    * (paper §1), computed relationally.
-    */
-  def visitCounts(paths: DataFrame): DataFrame =
-    paths.groupBy("vertex").agg(count(lit(1)).as("visits"))
 }

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance
 import scala.util.Random
 import repro.StatCheck
-import repro.core.Vertices.{expectedProbabilityOf, totalMass}
+import repro.core.Vertices.{expectedProbabilityOf, structProbabilityOf, totalMass}
 
 /** Targeted tests for the batched two-phase delete-and-swap (paper §5.2,
   * Fig. 10b) and the floating-point bias mode (paper §4.3).
@@ -130,7 +130,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     val vs = new BingoVertex(); ns.foreach { case (d, b) => vs.insert(d, b) }
     vb.validate(); vs.validate()
     ns.foreach { case (d, _) =>
-      StatCheck.assertProbEqual(vb.structProbabilityOf(d), vs.structProbabilityOf(d), 1e-9)
+      StatCheck.assertProbEqual(structProbabilityOf(vb, d), structProbabilityOf(vs, d), 1e-9)
     }
   }
 
@@ -146,7 +146,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
       assert(v.degree == n - dels.size)
       val tot = ns.filterNot(x => dels.contains(x._1)).map(_._2).sum
       ns.filterNot(x => dels.contains(x._1)).foreach { case (d, b) =>
-        StatCheck.assertProbEqual(v.structProbabilityOf(d), b / tot, 1e-9)
+        StatCheck.assertProbEqual(structProbabilityOf(v, d), b / tot, 1e-9)
       }
     }
   }
@@ -155,7 +155,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
   private def assertExact(v: BingoVertex, seed: Long): Unit = {
     v.validate()
     val dsts = (0 until v.degree).map(v.dstAt).distinct
-    dsts.foreach(x => StatCheck.assertProbEqual(v.structProbabilityOf(x), expectedProbabilityOf(v, x), 1e-9))
+    dsts.foreach(x => StatCheck.assertProbEqual(structProbabilityOf(v, x), expectedProbabilityOf(v, x), 1e-9))
     if (dsts.nonEmpty)
       StatCheck.assertMatches(dsts.map(x => x -> expectedProbabilityOf(v, x)).toMap, 200000, seed, tol = 0.02)(v.sample)
   }
@@ -246,9 +246,9 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.groupCountOf(BingoVertex.DecimalGroup) == 3) // decimals .54, .26, .20
     val tot = 5.54 + 7.26 + 3.20
     assert(expectedProbabilityOf(v, 1) === 5.54 / tot +- 1e-9)
-    assert(v.structProbabilityOf(1) === 5.54 / tot +- 1e-9)
-    assert(v.structProbabilityOf(4) === 7.26 / tot +- 1e-9)
-    assert(v.structProbabilityOf(5) === 3.20 / tot +- 1e-9)
+    assert(structProbabilityOf(v, 1) === 5.54 / tot +- 1e-9)
+    assert(structProbabilityOf(v, 4) === 7.26 / tot +- 1e-9)
+    assert(structProbabilityOf(v, 5) === 3.20 / tot +- 1e-9)
   }
 
   test("float sampling distribution matches scaled biases") {
@@ -265,7 +265,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assert(v.delete(4))
     v.validate()
     val tot = 5.54 + 3.20
-    assert(v.structProbabilityOf(1) === 5.54 / tot +- 1e-9)
+    assert(structProbabilityOf(v, 1) === 5.54 / tot +- 1e-9)
     assert(v.groupCountOf(BingoVertex.DecimalGroup) == 2)
   }
 
@@ -302,7 +302,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     // distribution still exact
     val tot = biases.map(_ * lambda).sum
     biases.zipWithIndex.foreach { case (b, i) =>
-      StatCheck.assertProbEqual(v.structProbabilityOf(i), b * lambda / tot, 1e-9)
+      StatCheck.assertProbEqual(structProbabilityOf(v, i), b * lambda / tot, 1e-9)
     }
   }
 
@@ -313,11 +313,11 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     intercept[IllegalArgumentException](new BingoVertex().insert(3, 1e18 * 10.0))
     v.validate()
     assert(v.degree == 2 && !v.contains(3))
-    assert(v.structProbabilityOf(2) === 5.0 / 8 +- 1e-12)
+    assert(structProbabilityOf(v, 2) === 5.0 / 8 +- 1e-12)
     // a bias with bit 62 set is still accepted and exact
     v.insert(4, math.pow(2, 62))
     v.validate()
-    assert(v.structProbabilityOf(4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
+    assert(structProbabilityOf(v, 4) === math.pow(2, 62) / (math.pow(2, 62) + 8) +- 1e-12)
   }
 
   test("insert accepts the bias range's ends, exact to w/Σw") {
@@ -365,7 +365,7 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     val vf = new BingoVertex() // λ·w stays integral
     ws.zipWithIndex.foreach { case (b, i) => vf.insert(i, b * 4.0) }
     ws.indices.foreach { i =>
-      StatCheck.assertProbEqual(vi.structProbabilityOf(i), vf.structProbabilityOf(i), 1e-9)
+      StatCheck.assertProbEqual(structProbabilityOf(vi, i), structProbabilityOf(vf, i), 1e-9)
     }
   }
 }

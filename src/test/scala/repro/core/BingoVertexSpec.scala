@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance
 import scala.util.Random
 import repro.StatCheck
-import repro.core.Vertices.{expectedProbabilityOf, totalMass}
+import repro.core.Vertices.{expectedProbabilityOf, structProbabilityOf, totalMass}
 
 /** Core unit tests of the radix-factorized per-vertex sampler (paper §4–5). */
 class BingoVertexSpec extends AnyFunSuite with Tolerance {
@@ -19,7 +19,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     val dsts = (0 until v.degree).map(v.dstAt).distinct
     var total = 0.0
     dsts.foreach { d =>
-      val structural = v.structProbabilityOf(d)
+      val structural = structProbabilityOf(v, d)
       val expected = expectedProbabilityOf(v, d)
       StatCheck.assertProbEqual(structural, expected, 1e-9)
       total += structural
@@ -188,7 +188,7 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     checkTheorem41(va)
     checkTheorem41(vb)
     ns.foreach { case (d, _) =>
-      StatCheck.assertProbEqual(va.structProbabilityOf(d), vb.structProbabilityOf(d), 1e-9)
+      StatCheck.assertProbEqual(structProbabilityOf(va, d), structProbabilityOf(vb, d), 1e-9)
     }
     assert(va.memoryBytes < vb.memoryBytes, s"${va.memoryBytes} !< ${vb.memoryBytes}")
   }

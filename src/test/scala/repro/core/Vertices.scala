@@ -1,7 +1,8 @@
 package repro.core
 
 /** Test helpers over [[BingoVertex]]: a vertex built from a neighbor list,
-  * and the exact probabilities read off its slots' bias columns.
+  * the exact probabilities its group structure gives, and those read off its
+  * slots' bias columns.
   */
 object Vertices {
 
@@ -17,6 +18,11 @@ object Vertices {
 
   /** Total mass Σw over the slots: the sampling normaliser. */
   def totalMass(v: BingoVertex): Double = (0 until v.degree).map(weight(v, _)).sum
+
+  /** The probability that `v`'s structure gives `dst`, read off
+    * [[BingoVertex.distribution]] (Eq. 7); 0 for a dst it does not hold.
+    */
+  def structProbabilityOf(v: BingoVertex, dst: Int): Double = v.distribution.getOrElse(dst, 0.0)
 
   /** Expected probability w/Σw of picking any instance of `dst` (Eq. 2). */
   def expectedProbabilityOf(v: BingoVertex, dst: Int): Double = {

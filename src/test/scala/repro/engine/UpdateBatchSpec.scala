@@ -40,11 +40,11 @@ class UpdateBatchSpec extends AnyFunSuite {
 
   test("snapshot: one insert per edge, grouped by src, listed order kept within a vertex") {
     val edges = Seq(Edge(2, 0, 1.0), Edge(0, 1, 2.0), Edge(2, 0, 3.0), Edge(1, 2, 4.0), Edge(0, 2, 5.0))
-    val b = UpdateBatch.snapshot(edges, 3)
+    val b = UpdateBatch.snapshot(edges, 3, 1)(0)
     assert((0 until b.size).forall(b.insert(_)))
     assert((0 until b.size).map(i => Edge(b.src(i), b.dst(i), b.bias(i))) == edges.sortBy(_.src))
     assert(runs(b) == Seq((0, 0, 2), (1, 2, 3), (2, 3, 5)))
-    assert(UpdateBatch.snapshot(Nil, 0).size == 0)
+    assert(UpdateBatch.snapshot(Nil, 0, 1)(0).size == 0)
   }
 
   test("snapshot in p slices equals split of the same edges as inserts, ts their listed index") {
@@ -53,7 +53,7 @@ class UpdateBatchSpec extends AnyFunSuite {
     def edges(m: Int) = Vector.fill(m)(Edge(rnd.nextInt(n), rnd.nextInt(n), 1.0 + rnd.nextInt(9)))
     // lists shorter than some p or every p, the empty one, and one that is not an IndexedSeq
     val lists = Seq(Vector.empty[Edge], edges(1), edges(3), edges(63), edges(500), edges(97).toList)
-    for (listed <- lists; p <- Seq(1, 3, 4, 64)) {
+    def check(listed: Seq[Edge], n: Int, p: Int): Unit = {
       val got = UpdateBatch.snapshot(listed, n, p)
       val want = UpdateBatch.split(listed.zipWithIndex.map { case (e, i) => Update(i, true, e.src, e.dst, e.bias) }, p, n)
       assert(got.length == p)
@@ -61,6 +61,10 @@ class UpdateBatchSpec extends AnyFunSuite {
         assert(entries(g) == entries(w), s"${listed.length} edges, p=$p slice $s")
       }
     }
+    for (listed <- lists; p <- Seq(1, 3, 4, 64)) check(listed, n, p)
+    // p·n = 2^31: p chunks of p·⌈n/p⌉ counters each would overflow an Int
+    val big = 1 << 20
+    check(Vector.fill(20)(Edge(rnd.nextInt(big), rnd.nextInt(big), 1.0 + rnd.nextInt(9))), big, 2048)
   }
 
   test("applyTo hands each vertex its run once, as Update objects in ts order") {

@@ -8,7 +8,7 @@ import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, StatCheck}
 import repro.engine._
 import repro.graph._
-import repro.walk.Walks
+import repro.walk.{WalkFrames, Walks}
 import scala.jdk.CollectionConverters._
 
 /** Harness-level integration tests: Spark-routed updates are equivalent to
@@ -230,9 +230,9 @@ class EvalSpec extends AnyFunSuite with SparkSpec {
       Bench.applyRoundSpark(spark, "eval-spec-shape", Seq(Update(1, insert = true, 2, 3, 1.0)))
       sc.setJobGroup("eval-spec-shape-walk", "walk")
       Bench.runWalksSpark(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
-      // Walks.paths walks through the same fan-out; its DataFrame is built on the driver
+      // WalkFrames.paths walks through the same fan-out; its DataFrame is built on the driver
       sc.setJobGroup("eval-spec-shape-paths", "paths")
-      Walks.paths(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
+      WalkFrames.paths(spark, "eval-spec-shape", Walks.DeepWalk(4), 16, 1L)
       eventually(timeout(Span(30, Seconds))) { assert(shapes.size == 3) }
       // one stage per job, and that stage holds exactly one RDD
       assert(

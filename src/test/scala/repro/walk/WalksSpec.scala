@@ -228,10 +228,10 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     val eng = BingoEngine.factory().build(v, edges)
     GraphStore.register("walks-spec-1", eng)
     try {
-      val df = Walks.paths(spark, "walks-spec-1", Walks.DeepWalk(10), 64, seed = 3L).cache()
+      val df = WalkFrames.paths(spark, "walks-spec-1", Walks.DeepWalk(10), 64, seed = 3L).cache()
       val rows = df.collect()
       assert(rows.length == 64 * 10)
-      val df2 = Walks.paths(spark, "walks-spec-1", Walks.DeepWalk(10), 64, seed = 3L)
+      val df2 = WalkFrames.paths(spark, "walks-spec-1", Walks.DeepWalk(10), 64, seed = 3L)
       assert(df2.collect().sortBy(r => (r.getLong(0), r.getInt(1))).toSeq ==
         rows.sortBy(r => (r.getLong(0), r.getInt(1))).toSeq)
       // per-walker positions are 0..9
@@ -251,7 +251,7 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     GraphStore.register("walks-spec-2", eng)
     try {
       val (steps, _) = Bench.runWalksSpark(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L)
-      val rows = Walks.paths(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L).count()
+      val rows = WalkFrames.paths(spark, "walks-spec-2", Walks.DeepWalk(12), 32, seed = 4L).count()
       assert(steps == rows - 32)
       // a partitioning that drops or repeats walker ids changes the sum
       // (101 walkers do not split evenly across tasks; 3 leave some tasks
@@ -273,8 +273,8 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     val eng = BingoEngine.factory().build(v, edges)
     GraphStore.register("walks-spec-3", eng)
     try {
-      val paths = Walks.paths(spark, "walks-spec-3", Walks.Ppr(1.0 / 20, 200), 200, seed = 5L).cache()
-      val visits = Walks.visitCounts(paths).withColumnRenamed("visits", "cnt")
+      val paths = WalkFrames.paths(spark, "walks-spec-3", Walks.Ppr(1.0 / 20, 200), 200, seed = 5L).cache()
+      val visits = WalkFrames.visitCounts(paths).withColumnRenamed("visits", "cnt")
       Oracle.assertEquivalent(
         visits,
         "SELECT vertex, COUNT(*) AS cnt FROM paths GROUP BY vertex",
@@ -289,8 +289,8 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     val eng = BingoEngine.factory().build(v, edges)
     GraphStore.register("walks-spec-4", eng)
     try {
-      val paths = Walks.paths(spark, "walks-spec-4", Walks.Ppr(1.0 / 40, 400), 500, seed = 6L)
-      val visits = Walks.visitCounts(paths).collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+      val paths = WalkFrames.paths(spark, "walks-spec-4", Walks.Ppr(1.0 / 40, 400), 500, seed = 6L)
+      val visits = WalkFrames.visitCounts(paths).collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
       assert(visits.values.sum > 500L) // walked at least a bit
       assert(visits.keySet.subsetOf((0 until v).toSet))
     } finally GraphStore.remove("walks-spec-4")
