@@ -23,9 +23,6 @@ final class AliasTable private (
     private val alias: Array[Int],
 ) extends Serializable {
 
-  /** Number of candidates. */
-  def size: Int = prob.length
-
   /** Draw one index with probability proportional to its weight. */
   def sample(rng: SplittableRandom): Int = {
     val bucket = rng.nextInt(prob.length)
