@@ -46,14 +46,20 @@ final class BingoVertex(
   // Only the non-empty groups are kept, in ascending id: bit k of `active` is
   // set iff group k is non-empty, and entry i of the group columns is the
   // i-th active group's. The representation is the adaptive type (§5.1):
-  // Dense has no list, One-element a one-entry list and no inverse, Sparse
-  // a list and an IntIntMap inverse, Regular a list and a slot-indexed
-  // Array[Int] inverse. A list holds its members in positions [0, count).
-  // The columns grow by doubling; null until the first group.
+  // One-element keeps `~slot` as its count (negative; the count of 1 is
+  // implied) and nothing else, Dense its count and no list, Sparse a list
+  // and an IntIntMap inverse, Regular a list and a slot-indexed inverse,
+  // 16-bit (`Array[Char]`) while the capacity is at most
+  // [[BingoVertex.MaxCharInverse]] slots and `Array[Int]` above. A list
+  // holds its members in positions [0, count); an inverse entry of a
+  // non-member is never read. A One-element group that gains members in a
+  // batch keeps its count and [[BingoVertex.GrownOne]] as its list until
+  // the rebuild phase. The columns hold exactly the active groups (null
+  // without one); `reprs` holds group i's list at 2i and its inverse at
+  // 2i + 1.
   private var active = 0L
   private var counts: Array[Int] = null
-  private var lists: Array[Array[Int]] = null
-  private var invs: Array[AnyRef] = null // slot → list position
+  private var reprs: Array[AnyRef] = null
   private var cumWeight: Array[Double] = null // summed weight of groups 0..i (Eq. 5)
   private var decSum = 0.0 // weight of the decimal group
   private var decMax = 0.0 // largest decimal: its rejection bound
@@ -170,14 +176,15 @@ final class BingoVertex(
 
   /** A uniformly drawn member of group `k`, the `i`-th active group. */
   private def pick(i: Int, k: Int, rng: SplittableRandom): Int = {
-    val list = lists(i)
+    val c = counts(i)
+    if (c < 0) return ~c // One-element: no draw
+    val list = reprs(2 * i)
     if (list == null) { // Dense: rejection on the original neighbor list, accept iff bit k set
       val mask = 1L << k
       var slot = rng.nextInt(d)
       while ((biasIntArr(slot) & mask) == 0L) slot = rng.nextInt(d)
       slot
-    } else if (invs(i) == null) list(0) // One-element: no draw
-    else list(rng.nextInt(counts(i)))
+    } else list.asInstanceOf[Array[Int]](rng.nextInt(c))
   }
 
   // ---- Introspection for tests, stats and memory accounting -------------
@@ -207,10 +214,11 @@ final class BingoVertex(
         val dst = dstArr(slot)
         p(dst) = p.getOrElse(dst, 0.0) + share * (if (k == DecimalGroup) decArr(slot) * unit else mask.toDouble)
       }
-      val list = lists(i)
+      val c = counts(i)
       var j = 0
-      if (list == null) while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
-      else while (j < counts(i)) { add(list(j)); j += 1 }
+      if (c < 0) add(~c)
+      else if (reprs(2 * i) == null) while (j < d) { if ((biasIntArr(j) & mask) != 0L) add(j); j += 1 }
+      else while (j < c) { add(listAt(i)(j)); j += 1 }
       i += 1
       rest &= rest - 1
     }
@@ -218,7 +226,7 @@ final class BingoVertex(
   }
 
   def groupTypeOf(k: Int): Option[GroupType] = if (isActive(k)) Some(typeAt(indexOf(k))) else None
-  def groupCountOf(k: Int): Int = if (isActive(k)) counts(indexOf(k)) else 0
+  def groupCountOf(k: Int): Int = if (isActive(k)) countAt(indexOf(k)) else 0
   /** Ids of the non-empty groups: radix bits, then [[BingoVertex.DecimalGroup]]. */
   def activeGroupBits: Seq[Int] = (0 to DecimalGroup).filter(isActive)
 
@@ -227,14 +235,20 @@ final class BingoVertex(
     * group weights' prefix sums.
     */
   def memoryBytes: Long = {
-    // 10 references, d, active / decSum / decMax, adaptive
-    var m = Heap.obj(10 * Heap.Ref + 4 + 3 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
+    // 9 references, d and the slot store's repeats, active / decSum / decMax, adaptive
+    var m = Heap.obj(9 * Heap.Ref + 2 * 4 + 3 * 8 + 1) + slotBytes + Heap.array(biasIntArr.length, 8)
     if (decArr != null) m += Heap.array(decArr.length, 8)
-    if (counts != null) m += Heap.array(counts.length, 4) + 2 * Heap.array(counts.length, Heap.Ref) + Heap.array(counts.length, 8)
+    if (counts != null) m += Heap.array(counts.length, 4) + Heap.array(reprs.length, Heap.Ref)
+    if (cumWeight != null) m += Heap.array(cumWeight.length, 8)
     var i = 0
     while (i < java.lang.Long.bitCount(active)) {
-      if (lists(i) != null) m += Heap.array(lists(i).length, 4)
-      m += (invs(i) match { case inv: Array[Int] => Heap.array(inv.length, 4); case map: IntIntMap => map.memoryBytes; case _ => 0L })
+      if (reprs(2 * i) != null) m += Heap.array(listAt(i).length, 4)
+      m += (reprs(2 * i + 1) match {
+        case inv: Array[Char] => Heap.array(inv.length, 2)
+        case inv: Array[Int] => Heap.array(inv.length, 4)
+        case map: IntIntMap => map.memoryBytes
+        case _ => 0L
+      })
       i += 1
     }
     m
@@ -252,21 +266,27 @@ final class BingoVertex(
       val got = groupCountOf(k)
       require(got == expect && (!isActive(k) || got > 0), s"group $k count $got != expected $expect")
       val g = indexOf(k)
-      if (isActive(k) && lists(g) != null) { // a Dense group stores no slots
-        require(invs(g) != null || got == 1, s"one-element group $k holds $got members")
+      if (isActive(k) && counts(g) < 0) require(~counts(g) < d && (biasIntArr(~counts(g)) & mask) != 0L, s"one-element group $k names slot ${~counts(g)}")
+      else if (isActive(k) && reprs(2 * g) != null) { // a Dense group stores no slots
+        reprs(2 * g + 1) match {
+          case inv: Array[Char] => require(inv.length == capacity && capacity <= MaxCharInverse, s"group $k: a 16-bit inverse at $capacity slots")
+          case inv: Array[Int] => require(inv.length == capacity && capacity > MaxCharInverse, s"group $k: a 32-bit inverse at $capacity slots")
+          case inv => require(inv.isInstanceOf[IntIntMap], s"group $k: a list without an inverse")
+        }
         var j = 0
         while (j < got) {
-          val slot = lists(g)(j)
+          val slot = listAt(g)(j)
           require(slot < d && (biasIntArr(slot) & mask) != 0L, s"group $k member $slot lacks bit")
-          require(invs(g) == null || posOf(g, slot) == j, s"group $k inverted index wrong for slot $slot")
+          require(posOf(g, slot) == j, s"group $k inverted index wrong for slot $slot")
           j += 1
         }
       }
       k += 1
     }
-    // entries past the active groups hold nothing
-    var e = java.lang.Long.bitCount(active)
-    while (counts != null && e < counts.length) { require(lists(e) == null && invs(e) == null, s"group entry $e not cleared"); e += 1 }
+    // the group columns hold exactly the active groups
+    val n = java.lang.Long.bitCount(active)
+    if (n == 0) require(counts == null && reprs == null && cumWeight == null, "group columns without a group")
+    else require(counts.length == n && reprs.length == 2 * n && cumWeight.length == n, s"group columns not sized for $n groups")
     // the decimal bit marks exactly the slots with a decimal; its weight and bound
     var sum = 0.0
     var max = 0.0
@@ -291,19 +311,29 @@ final class BingoVertex(
   private def touch(i: Int, touches: Array[Long]): Unit = if (conversions != null) touches(typeAt(i).id) += 1
 
   /** Group `i`'s adaptive type, read off its representation. */
-  private def typeAt(i: Int): GroupType = invs(i) match {
-    case _: IntIntMap => GroupType.Sparse
-    case _: Array[Int] => GroupType.Regular
-    case _ => if (lists(i) == null) GroupType.Dense else GroupType.OneElement
-  }
+  private def typeAt(i: Int): GroupType =
+    if (counts(i) < 0) GroupType.OneElement
+    else reprs(2 * i + 1) match {
+      case null => if (reprs(2 * i) eq GrownOne) GroupType.OneElement else GroupType.Dense
+      case _: IntIntMap => GroupType.Sparse
+      case _ => GroupType.Regular
+    }
 
-  private def posOf(i: Int, slot: Int): Int = invs(i) match {
+  /** Group `i`'s member count. */
+  private def countAt(i: Int): Int = if (counts(i) < 0) 1 else counts(i)
+
+  /** Group `i`'s member list (Regular and Sparse groups). */
+  private def listAt(i: Int): Array[Int] = reprs(2 * i).asInstanceOf[Array[Int]]
+
+  private def posOf(i: Int, slot: Int): Int = reprs(2 * i + 1) match {
+    case inv: Array[Char] => inv(slot)
     case inv: Array[Int] => inv(slot)
     case map: IntIntMap => map.get(slot)
   }
 
   /** Point group `i`'s inverse at list position `pos` for `slot`; -1 clears it. */
-  private def setPos(i: Int, slot: Int, pos: Int): Unit = invs(i) match {
+  private def setPos(i: Int, slot: Int, pos: Int): Unit = reprs(2 * i + 1) match {
+    case inv: Array[Char] => inv(slot) = pos.toChar
     case inv: Array[Int] => inv(slot) = pos
     case map: IntIntMap => if (pos < 0) map.remove(slot) else map.put(slot, pos)
   }
@@ -329,13 +359,16 @@ final class BingoVertex(
     biasIntArr = java.util.Arrays.copyOf(biasIntArr, cap)
     if (decArr != null) decArr = java.util.Arrays.copyOf(decArr, cap)
     var i = 0
-    while (i < java.lang.Long.bitCount(active)) {
-      invs(i) match {
-        case inv: Array[Int] => // Regular
-          val grown = java.util.Arrays.copyOf(inv, cap)
-          java.util.Arrays.fill(grown, inv.length, cap, -1)
-          invs(i) = grown
-        case _ =>
+    while (i < java.lang.Long.bitCount(active)) { // the Regular inverses, widened past MaxCharInverse slots
+      reprs(2 * i + 1) = reprs(2 * i + 1) match {
+        case inv: Array[Char] if cap > MaxCharInverse =>
+          val wide = new Array[Int](cap)
+          var j = 0
+          while (j < inv.length) { wide(j) = inv(j); j += 1 }
+          wide
+        case inv: Array[Char] => java.util.Arrays.copyOf(inv, cap)
+        case inv: Array[Int] => java.util.Arrays.copyOf(inv, cap)
+        case other => other
       }
       i += 1
     }
@@ -345,37 +378,41 @@ final class BingoVertex(
   /** Index of active group `k` in the group columns. */
   private def indexOf(k: Int): Int = java.lang.Long.bitCount(active & ((1L << k) - 1))
 
-  /** Group `k`'s birth with its first member `slot`: a new entry, in id order. O(K). */
+  /** Group `k`'s birth with its first member `slot`: the group columns
+    * take one entry more, in id order. O(K).
+    */
   private def addGroup(k: Int, slot: Int): Unit = {
     val n = java.lang.Long.bitCount(active)
-    if (counts == null || n == counts.length) {
-      val cap = math.max(1, 2 * n)
-      counts = if (counts == null) new Array[Int](cap) else java.util.Arrays.copyOf(counts, cap)
-      lists = if (lists == null) new Array[Array[Int]](cap) else java.util.Arrays.copyOf(lists, cap)
-      invs = if (invs == null) new Array[AnyRef](cap) else java.util.Arrays.copyOf(invs, cap)
-      cumWeight = new Array[Double](cap) // refilled by the rebuild phase
-    }
     val i = indexOf(k)
-    shiftGroups(i, i + 1, n - i)
-    counts(i) = 1
+    counts = resized(counts, new Array[Int](n + 1), i, i + 1, n - i)
+    reprs = resized(reprs, new Array[AnyRef](2 * n + 2), 2 * i, 2 * i + 2, 2 * (n - i))
     active |= 1L << k
-    setMembers(i, GroupType.classify(1, d, adaptive), Array(slot))
+    if (adaptive) counts(i) = ~slot // One-element (Eq. 9 at a count of 1)
+    else setMembers(i, GroupType.Regular, Array(slot))
   }
 
-  /** Group `k`'s death: the entries above it shift down. O(K). */
+  /** Group `k`'s death: the group columns lose its entry. O(K). */
   private def removeGroup(k: Int): Unit = {
     val n = java.lang.Long.bitCount(active)
     val i = indexOf(k)
-    shiftGroups(i + 1, i, n - i - 1)
-    lists(n - 1) = null
-    invs(n - 1) = null
     active &= ~(1L << k)
+    if (n == 1) { counts = null; reprs = null }
+    else {
+      counts = resized(counts, new Array[Int](n - 1), i + 1, i, n - i - 1)
+      reprs = resized(reprs, new Array[AnyRef](2 * n - 2), 2 * i + 2, 2 * i, 2 * (n - i - 1))
+    }
   }
 
-  private def shiftGroups(from: Int, to: Int, len: Int): Unit = {
-    System.arraycopy(counts, from, counts, to, len)
-    System.arraycopy(lists, from, lists, to, len)
-    System.arraycopy(invs, from, invs, to, len)
+  /** `to` filled from the group column `from` (null: no entries yet): the
+    * entries below `min(at, moved)` in place, then `len` entries from `at`
+    * on, placed from `moved` on.
+    */
+  private def resized[A <: AnyRef](from: A, to: A, at: Int, moved: Int, len: Int): A = {
+    if (from != null) {
+      System.arraycopy(from, 0, to, 0, math.min(at, moved))
+      System.arraycopy(from, at, to, moved, len)
+    }
+    to
   }
 
   /** Insert `slot` into group `k`; conversions wait for the rebuild phase. */
@@ -384,12 +421,16 @@ final class BingoVertex(
     else {
       val i = indexOf(k)
       touch(i, touches)
-      if (invs(i) != null) { // Regular / Sparse: `slot` goes to list position `count`
-        if (counts(i) == lists(i).length) lists(i) = java.util.Arrays.copyOf(lists(i), counts(i) * 2)
-        lists(i)(counts(i)) = slot
-        setPos(i, slot, counts(i))
-      } // Dense keeps nothing, and a One-element group is rebuilt in the rebuild phase
-      counts(i) += 1
+      val c = counts(i)
+      if (c < 0) { counts(i) = 2; reprs(2 * i) = GrownOne } // rebuilt in the rebuild phase
+      else {
+        if (reprs(2 * i + 1) != null) { // Regular / Sparse: `slot` goes to list position `count`
+          if (c == listAt(i).length) reprs(2 * i) = java.util.Arrays.copyOf(listAt(i), c * 2)
+          listAt(i)(c) = slot
+          setPos(i, slot, c)
+        } // Dense and a grown One-element group keep nothing
+        counts(i) = c + 1
+      }
     }
 
   /** Re-point the group references of a slot that moved oldSlot →
@@ -399,12 +440,13 @@ final class BingoVertex(
     var rest = biasIntArr(oldSlot)
     while (rest != 0) {
       val i = indexOf(java.lang.Long.numberOfTrailingZeros(rest))
-      if (invs(i) != null) {
+      if (counts(i) < 0) counts(i) = ~newSlot // One-element
+      else if (reprs(2 * i + 1) != null) {
         val pos = posOf(i, oldSlot)
-        lists(i)(pos) = newSlot
+        listAt(i)(pos) = newSlot
         setPos(i, oldSlot, -1)
         setPos(i, newSlot, pos)
-      } else if (lists(i) != null) lists(i)(0) = newSlot // One-element; a Dense group stores no slots
+      } // a Dense group stores no slots
       rest &= rest - 1
     }
     biasIntArr(newSlot) = biasIntArr(oldSlot)
@@ -431,8 +473,9 @@ final class BingoVertex(
         val k = java.lang.Long.numberOfTrailingZeros(rest)
         val g = indexOf(k)
         touch(g, s.touches)
-        if (invs(g) != null) listBits |= 1L << k
-        else { // Dense / One-element: only the count changes
+        if (counts(g) < 0) removeGroup(k) // One-element
+        else if (reprs(2 * g + 1) != null) listBits |= 1L << k
+        else { // Dense, or One-element grown in this batch: only the count changes
           counts(g) -= 1
           if (counts(g) == 0) removeGroup(k)
         }
@@ -467,51 +510,51 @@ final class BingoVertex(
 
   /** Group `i`'s member at list position `from` moves to position `to`. */
   private def moveMember(i: Int, from: Int, to: Int): Unit = {
-    val list = lists(i)
+    val list = listAt(i)
     list(to) = list(from)
     setPos(i, list(to), to)
   }
 
   /** Apply Eq. 9 to touched group `k`; on a type change rebuild its
-    * representation (recorded as a conversion, paper Table 4). A group still
-    * One-element is rebuilt when its one entry no longer names a member: the
-    * batch deleted that slot, and compaction truncated it or moved a
-    * non-member there (a member that moves takes the entry with it).
+    * representation (recorded as a conversion, paper Table 4). A One-element
+    * group that grew in the batch is rebuilt whatever its count: it names no
+    * slot.
     */
   private def reclassify(k: Int): Unit = {
     if (!isActive(k)) return
     val i = indexOf(k)
     val from = typeAt(i)
-    val to = GroupType.classify(counts(i), d, adaptive)
-    val stale = from == GroupType.OneElement && { val s = lists(i)(0); s >= d || (biasIntArr(s) >>> k & 1L) == 0L }
-    if (to != from || stale) {
+    val to = GroupType.classify(countAt(i), d, adaptive)
+    if (to != from || (reprs(2 * i) eq GrownOne)) {
       if (to != from && conversions != null) conversions.recordConversion(from, to)
-      setMembers(i, to, scanMembers(k, counts(i)))
+      setMembers(i, to, scanMembers(k, countAt(i)))
     }
   }
 
-  /** Set group `i`'s representation of type `t` over `members`, its
-    * `count` slots; every type but Dense keeps the array as its list.
+  /** Set group `i`'s representation of type `t` over `members`, its slots:
+    * Regular and Sparse keep the array as their list.
     */
   private def setMembers(i: Int, t: GroupType, members: Array[Int]): Unit = {
-    lists(i) = if (t == GroupType.Dense) null else members
-    invs(i) = t match {
-      case GroupType.Regular => val inv = new Array[Int](capacity); java.util.Arrays.fill(inv, -1); inv
-      case GroupType.Sparse => new IntIntMap
-      case _ => null
-    }
-    var j = 0
-    while (invs(i) != null && j < members.length) { setPos(i, members(j), j); j += 1 }
+    counts(i) = if (t == GroupType.OneElement) ~members(0) else members.length
+    reprs(2 * i) = if (t == GroupType.Regular || t == GroupType.Sparse) members else null
+    reprs(2 * i + 1) =
+      if (t == GroupType.Regular) regularInverse(members, capacity)
+      else if (t == GroupType.Sparse) sparseInverse(members)
+      else null
   }
 
   /** Weight of group `k`, the `i`-th active group: |G_k|·2^k for a radix
     * group (Eq. 4), the sum of the decimals for the decimal group (§4.3).
     */
   private def weight(i: Int, k: Int): Double =
-    if (k == DecimalGroup) decSum else counts(i).toDouble * (1L << k).toDouble
+    if (k == DecimalGroup) decSum else countAt(i).toDouble * (1L << k).toDouble
 
-  /** Refill the prefix sums of the active groups' weights (Eq. 5) in place. */
+  /** Refill the prefix sums of the active groups' weights (Eq. 5), in
+    * place unless the number of groups changed.
+    */
   private def rebuildCumWeight(): Unit = {
+    val n = java.lang.Long.bitCount(active)
+    if (cumWeight == null || cumWeight.length != n) cumWeight = if (n == 0) null else new Array[Double](n)
     var sum = 0.0
     var rest = active
     var i = 0
@@ -535,7 +578,7 @@ final class BingoVertex(
       if ((biasIntArr(i) & mask) != 0L) { if (n < count) out(n) = i; n += 1 }
       i += 1
     }
-    require(n == count, s"group $k rebuild: scan $n != count $count")
+    if (n != count) throw new IllegalStateException(s"group $k rebuild: scan $n != count $count")
     out
   }
 }
@@ -569,6 +612,40 @@ object BingoVertex {
   }
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+  /** Most slots a vertex holds while its Regular inverses keep 16-bit list
+    * positions: a position is below the count, which is at most the capacity.
+    */
+  private val MaxCharInverse: Int = 1 << 16
+
+  /** A Regular group's inverse of `members` for `cap` slots: each member's
+    * list position, 16-bit up to [[MaxCharInverse]] slots.
+    */
+  private def regularInverse(members: Array[Int], cap: Int): AnyRef = {
+    var j = 0
+    if (cap <= MaxCharInverse) {
+      val inv = new Array[Char](cap)
+      while (j < members.length) { inv(members(j)) = j.toChar; j += 1 }
+      inv
+    } else {
+      val inv = new Array[Int](cap)
+      while (j < members.length) { inv(members(j)) = j; j += 1 }
+      inv
+    }
+  }
+
+  /** A Sparse group's inverse of `members`: each member's list position. */
+  private def sparseInverse(members: Array[Int]): IntIntMap = {
+    val inv = new IntIntMap(members.length)
+    var j = 0
+    while (j < members.length) { inv.put(members(j), j); j += 1 }
+    inv
+  }
+
+  /** The list of a One-element group that gained members in the current
+    * batch: it stays typed One-element until the rebuild phase.
+    */
+  private val GrownOne: Array[Int] = new Array[Int](0)
 
   /** Group id of the decimal group (float-bias mode, §4.3): bit 63, which
     * no positive `Long` bias sets, marks its members.

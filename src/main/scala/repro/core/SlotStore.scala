@@ -6,10 +6,18 @@ package repro.core
   * insertion (timestamp) order, so deleting a duplicated edge removes its
   * earliest surviving instance (§5.2).
   *
-  * A per-slot `nextDup` column links each instance of a dst to the next
-  * later one; the latest stores `~earliest` (a negative value), closing the
-  * ring. Finding a dst's latest instance is a scan of the dst column while
-  * the vertex holds at most [[SlotStore.MaxScan]] slots (two cache lines of
+  * While no dst repeats, every slot is its own earliest and latest instance
+  * and the store keeps nothing more. An append of a dst the vertex already
+  * holds allocates a per-slot `nextDup` column, which links each instance
+  * of a dst to the next later one; the latest stores `~earliest` (a
+  * negative value), closing the ring. The column is dropped when the last
+  * repeat is taken: a batch that deletes an edge and inserts it again
+  * (inserts go first, §5.2) holds both instances only for that batch. A
+  * slot taken by [[takeEarliest]] holds `~dst` (negative) until a
+  * compaction removes it, so no lookup finds it.
+  *
+  * Finding a dst's latest instance is a scan of the dst column while the
+  * vertex holds at most [[SlotStore.MaxScan]] slots (two cache lines of
   * dsts, as Hornet's lists find an edge); a larger vertex keeps an
   * [[IntIntMap]] from each dst to its latest slot, built in one pass when an
   * append takes it past [[SlotStore.MaxScan]] and dropped when a compaction
@@ -30,10 +38,12 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
   protected var d: Int = 0
 
   /** Per slot: the next later slot of the same dst; the latest holds
-    * `~earliest`. A slot taken by [[takeEarliest]] but not yet compacted
-    * holds a non-negative value, so no scan finds it as a latest instance.
+    * `~earliest`. Null while no dst repeats.
     */
-  private var nextDup: Array[Int] = new Array[Int](initialCap)
+  private var nextDup: Array[Int] = null
+
+  /** Slots that are not the latest instance of their dst: > 0 iff `nextDup` exists. */
+  private var repeats: Int = 0
 
   /** dst → its latest slot, from when the vertex passes [[SlotStore.MaxScan]]
     * slots until a compaction leaves [[SlotStore.DropIndexAt]] or fewer; else null.
@@ -46,6 +56,8 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
   def contains(dst: Int): Boolean = latestSlot(dst) >= 0
   private[core] def capacity: Int = dstArr.length
   private[core] def indexed: Boolean = latest != null
+  /** Whether the `nextDup` ring exists (read by SlotStoreSpec). */
+  private[core] def ringed: Boolean = nextDup != null
 
   /** Grow every subclass column to `cap` slots (`cap` > current capacity). */
   protected def growColumns(cap: Int): Unit
@@ -72,12 +84,17 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     * the caller fills its own columns at that slot.
     */
   protected final def appendSlot(dst: Int): Int = {
+    if (dst < 0) throw SlotStore.negativeDst(dst)
     if (d == dstArr.length) grow(d * 2)
     val last = latestSlot(dst)
     val slot = d
     dstArr(slot) = dst
-    if (last < 0) nextDup(slot) = ~slot
-    else { nextDup(slot) = nextDup(last); nextDup(last) = slot }
+    if (last >= 0) {
+      if (nextDup == null) startRings()
+      nextDup(slot) = nextDup(last)
+      nextDup(last) = slot
+      repeats += 1
+    } else if (nextDup != null) nextDup(slot) = ~slot
     d += 1
     if (latest != null) latest.put(dst, slot)
     else if (d > MaxScan) buildIndex(d)
@@ -87,24 +104,26 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
   /** Earliest slot holding `dst`, or -1 if there is none (read by SlotStoreSpec). */
   protected final def firstSlotOf(dst: Int): Int = {
     val last = latestSlot(dst)
-    if (last < 0) -1 else ~nextDup(last)
+    if (last < 0 || nextDup == null) last else ~nextDup(last)
   }
 
   /** Next later slot holding the same dst as `slot`, or -1 after the latest (read by SlotStoreSpec). */
-  protected final def nextSlotOf(slot: Int): Int = math.max(nextDup(slot), -1)
+  protected final def nextSlotOf(slot: Int): Int = if (nextDup == null) -1 else math.max(nextDup(slot), -1)
 
   /** Unindex the earliest surviving instance of `dst` and return its slot,
-    * or -1 if absent. The slot stays occupied until it is compacted.
+    * or -1 if absent. The slot stays occupied, holding `~dst`, until it is
+    * compacted.
     */
   protected final def takeEarliest(dst: Int): Int = {
     val last = latestSlot(dst)
     if (last < 0) return -1
-    val first = ~nextDup(last)
-    if (first != last) nextDup(last) = ~nextDup(first)
-    else {
-      nextDup(first) = first // no longer a latest instance
-      if (latest != null) latest.remove(dst)
-    }
+    val first = if (nextDup == null) last else ~nextDup(last)
+    if (first != last) {
+      nextDup(last) = ~nextDup(first)
+      repeats -= 1
+      if (repeats == 0) nextDup = null // every ring left is a single slot
+    } else if (latest != null) latest.remove(dst)
+    dstArr(first) = ~dst
     first
   }
 
@@ -124,7 +143,7 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     if (latest != null) return latest.get(dst)
     var s = 0
     while (s < d) {
-      if (dstArr(s) == dst && nextDup(s) < 0) return s
+      if (dstArr(s) == dst && (nextDup == null || nextDup(s) < 0)) return s
       s += 1
     }
     -1
@@ -132,8 +151,15 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
 
   private def grow(cap: Int): Unit = {
     dstArr = java.util.Arrays.copyOf(dstArr, cap)
-    nextDup = java.util.Arrays.copyOf(nextDup, cap)
+    if (nextDup != null) nextDup = java.util.Arrays.copyOf(nextDup, cap)
     growColumns(cap)
+  }
+
+  /** A repeated dst while none repeats: every slot so far starts as a ring of its own. */
+  private def startRings(): Unit = {
+    nextDup = new Array[Int](dstArr.length)
+    var s = 0
+    while (s < d) { nextDup(s) = ~s; s += 1 }
   }
 
   /** The dst index over the latest instances, sized for `entries` dsts. */
@@ -141,7 +167,7 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     latest = new IntIntMap(entries)
     var s = 0
     while (s < d) {
-      if (nextDup(s) < 0) latest.put(dstArr(s), s)
+      if (nextDup == null || nextDup(s) < 0) latest.put(dstArr(s), s)
       s += 1
     }
   }
@@ -151,8 +177,8 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
     val dst = dstArr(from)
     dstArr(to) = dst
     // the slot keeps its timestamp position in its ring, only its number changes
-    val next = nextDup(from)
-    if (next == ~from) nextDup(to) = ~to
+    val next = if (nextDup == null) ~from else nextDup(from)
+    if (next == ~from) { if (nextDup != null) nextDup(to) = ~to }
     else {
       nextDup(to) = next
       var prev = ring(from)
@@ -172,22 +198,25 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
 
   /** Bytes of the dst column, the `nextDup` ring and the dst index. */
   protected final def slotBytes: Long =
-    Heap.array(dstArr.length, 4) + Heap.array(nextDup.length, 4) + (if (latest == null) 0L else latest.memoryBytes)
+    Heap.array(dstArr.length, 4) + (if (nextDup == null) 0L else Heap.array(nextDup.length, 4)) +
+      (if (latest == null) 0L else latest.memoryBytes)
 
   /** Fail-fast check that each dst has one latest instance, whose `~earliest`
-    * starts a ring through that dst's slots back to it; that the rings cover
-    * every slot exactly once; and that the dst index exists past
+    * starts a ring through that dst's slots back to it (without rings, that
+    * no dst repeats); that the rings cover every slot exactly once, and
+    * exist iff some dst repeats; and that the dst index exists past
     * [[SlotStore.MaxScan]] slots, not at [[SlotStore.DropIndexAt]] or fewer,
-    * and maps each dst to its latest slot (read by SlotStoreSpec and [[BingoVertex.validate]]).
+    * and maps each dst to its latest slot (read by SlotStoreSpec and
+    * [[BingoVertex.validate]]).
     */
   protected final def validateSlots(): Unit = {
     require(if (d > MaxScan) latest != null else d > DropIndexAt || latest == null, s"dst index ${latest != null} at $d slots")
     val dsts = new IntIntMap(d)
     var covered = 0
-    for (last <- 0 until d if nextDup(last) < 0) {
+    for (last <- 0 until d if nextDup == null || nextDup(last) < 0) {
       val dst = dstArr(last)
-      require(dsts.put(dst, last) < 0 && (latest == null || latest.get(dst) == last), s"dst $dst: two latest instances, or an index entry off slot $last")
-      var s = ~nextDup(last)
+      require(dst >= 0 && dsts.put(dst, last) < 0 && (latest == null || latest.get(dst) == last), s"dst $dst: two latest instances, or an index entry off slot $last")
+      var s = if (nextDup == null) last else ~nextDup(last)
       covered += 1
       while (s != last) {
         require(s >= 0 && s < d && dstArr(s) == dst && nextDup(s) >= 0 && covered < d, s"slot $s in the ring of $dst")
@@ -196,6 +225,7 @@ abstract class SlotStore(initialCap: Int) extends Serializable {
       }
     }
     require(covered == d && (latest == null || latest.size == dsts.size), s"the rings cover $covered of $d slots")
+    require(repeats == d - dsts.size && (nextDup != null) == (repeats > 0), s"$repeats repeats counted, ${d - dsts.size} held")
   }
 }
 
@@ -210,6 +240,8 @@ object SlotStore {
   }
 
   private val slotMove = ThreadLocal.withInitial[SlotMove](() => new SlotMove)
+
+  private def negativeDst(dst: Int) = new IllegalArgumentException(s"requirement failed: a dst must be non-negative: $dst")
 
   /** Most slots a vertex finds a dst among by scanning its dst column. */
   val MaxScan: Int = 32

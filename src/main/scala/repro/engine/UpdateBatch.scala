@@ -24,7 +24,7 @@ final class UpdateBatch private (val size: Int) extends Serializable {
   }
 
   /** Call `f(v, from, until)` for each vertex `v`'s run of the columns. */
-  def foreachRun(f: (Int, Int, Int) => Unit): Unit = {
+  def foreachRun(f: UpdateBatch.RunFn): Unit = {
     var i = 0
     while (i < size) {
       var j = i + 1
@@ -39,6 +39,13 @@ final class UpdateBatch private (val size: Int) extends Serializable {
 }
 
 object UpdateBatch {
+
+  /** The callback of [[UpdateBatch.foreachRun]]: a vertex and the bounds of
+    * its run, passed unboxed (a `Function3` of `Int`s boxes all three).
+    */
+  trait RunFn {
+    def apply(v: Int, from: Int, until: Int): Unit
+  }
 
   /** Entries `from until until` of `batch`, one vertex's run, seen as
     * `Update`s: an engine reads the run's columns directly, and an `Update`

@@ -79,15 +79,25 @@ object Walks {
 
   /** One node2vec hop from `cur` after `prev`: KnightKing-style rejection on
     * the walk history (Eq. 1). -1 at a dead end or after 10,000 tries.
+    * A candidate other than `prev` has f = 1 (an edge back to `prev`) or
+    * 1/q, so a dart below both accepts it and a dart at or above both
+    * rejects it without [[WalkEngine.hasEdge]], which draws nothing.
     */
   private def secondOrderHop(eng: WalkEngine, prev: Int, cur: Int, p: Double, q: Double, rng: SplittableRandom): Int = {
     val maxF = math.max(1.0, math.max(1.0 / p, 1.0 / q))
+    val lo = math.min(1.0, 1.0 / q)
+    val hi = math.max(1.0, 1.0 / q)
     var tries = 0
     while (tries < 10000) {
       val cand = eng.sampleNext(cur, rng)
       if (cand < 0) return -1
-      val f = if (cand == prev) 1.0 / p else if (eng.hasEdge(prev, cand)) 1.0 else 1.0 / q
-      if (rng.nextDouble() * maxF < f) return cand
+      val dart = rng.nextDouble() * maxF
+      val accept =
+        if (cand == prev) dart < 1.0 / p
+        else if (dart < lo) true
+        else if (dart >= hi) false
+        else dart < (if (eng.hasEdge(prev, cand)) 1.0 else 1.0 / q)
+      if (accept) return cand
       tries += 1
     }
     -1

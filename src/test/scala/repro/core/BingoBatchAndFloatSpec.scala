@@ -231,6 +231,64 @@ class BingoBatchAndFloatSpec extends AnyFunSuite with Tolerance {
     assertExact(v, 89)
   }
 
+  test("One-element groups moved by compaction, deleted and grown: Table 4 conversions and touches") {
+    val cs = new ConversionStats
+    val v = new BingoVertex(conversions = cs)
+    // slots 0..11 hold bias 1 (a Dense group 0), slot 12 bias 17: group 4's one member
+    Batch(v, (0 until 12).map(i => (i, 1.0)) :+ ((12, 17.0)), Nil)
+    assert(v.groupTypeOf(4).contains(GroupType.OneElement))
+    def counts(): (Seq[Long], Seq[Long]) = {
+      val out = (GroupType.All.flatMap(f => GroupType.All.map(t => cs.conversions(f, t))), GroupType.All.map(cs.touches))
+      cs.reset()
+      out
+    }
+    def conv(pairs: (GroupType, GroupType)*): Seq[Long] =
+      GroupType.All.flatMap(f => GroupType.All.map(t => pairs.count(_ == ((f, t))).toLong))
+    def touched(dense: Long, regular: Long, sparse: Long, one: Long): Seq[Long] = Seq(dense, regular, sparse, one)
+    counts()
+
+    // moved: deleting slot 0 moves the tail slot 12, group 4's member, into it
+    assert(Batch(v, Nil, Seq(0)) == 1)
+    assert(v.dstAt(0) == 12 && v.groupTypeOf(4).contains(GroupType.OneElement))
+    assertExact(v, 90)
+    assert(counts() == (conv(), touched(1, 0, 0, 0)))
+
+    // grown: two members join group 4 (3 of 14 slots: Regular), 48 gives birth to group 5
+    Batch(v, Seq((20, 16.0), (21, 48.0)), Nil)
+    assert(v.groupTypeOf(4).contains(GroupType.Regular) && v.groupCountOf(4) == 3)
+    assert(v.groupTypeOf(5).contains(GroupType.OneElement))
+    assertExact(v, 91) // a touch is tallied by the type the group had when the batch touched it
+    assert(counts() == (conv(GroupType.OneElement -> GroupType.Regular), touched(0, 0, 0, 2)))
+
+    // deleted: group 5 loses its one member and leaves no entry
+    assert(Batch(v, Nil, Seq(21)) == 1)
+    assert(v.groupTypeOf(5).isEmpty && v.groupCountOf(4) == 2)
+    assertExact(v, 92)
+    assert(counts() == (conv(), touched(0, 1, 0, 1)))
+
+    // grown and shrunk in one batch: group 6 gains a member and loses the first one
+    Batch(v, Seq((30, 64.0)), Nil)
+    counts()
+    assert(Batch(v, Seq((31, 64.0)), Seq(30)) == 1)
+    assert(v.groupTypeOf(6).contains(GroupType.OneElement) && v.groupCountOf(6) == 1)
+    assertExact(v, 93) // validate: group 6's entry names dst 31's slot
+    assert(counts() == (conv(), touched(0, 0, 0, 2)))
+
+    // grown by two and shrunk by one: 2 of 14 slots is a Regular group
+    Batch(v, Seq((32, 64.0), (33, 64.0)), Seq(31))
+    assert(v.groupTypeOf(6).contains(GroupType.Regular) && v.groupCountOf(6) == 2)
+    assertExact(v, 94)
+    assert(counts() == (conv(GroupType.OneElement -> GroupType.Regular), touched(0, 0, 0, 3)))
+
+    // grown and emptied in one batch
+    Batch(v, Seq((40, 128.0)), Nil)
+    counts()
+    assert(Batch(v, Seq((41, 128.0)), Seq(40, 41)) == 2)
+    assert(v.groupTypeOf(7).isEmpty)
+    assertExact(v, 95)
+    assert(counts() == (conv(), touched(0, 0, 0, 3)))
+  }
+
   // ---------------- floating-point biases (§4.3) ----------------
 
   test("paper Fig. 7: λ=10 on biases 0.554/0.726/0.320") {

@@ -144,6 +144,30 @@ class BingoVertexSpec extends AnyFunSuite with Tolerance {
     assert(v.degree == 100)
   }
 
+  test("Regular inverses: 16-bit up to 65,536 slots, widened to 32-bit when the capacity passes it") {
+    val v = new BingoVertex(adaptive = false) // every group Regular, one holding every slot
+    val rnd = new Random(65)
+    val d = 1 << 16
+    val biases = Array.fill(d + 1)((1 + 2 * rnd.nextInt(512)).toDouble) // odd: group 0 holds all of them
+    def exact(): Unit = {
+      v.validate() // also checks each inverse's width against the capacity
+      val total = (0 until v.degree).map(s => biases(v.dstAt(s))).sum
+      val dist = v.distribution
+      (0 until v.degree).foreach { s =>
+        val want = biases(v.dstAt(s)) / total
+        assert(math.abs(dist(v.dstAt(s)) - want) <= 1e-9 * want, s"dst ${v.dstAt(s)}")
+      }
+    }
+    v.applyBatch(Array.range(0, d), biases.take(d), Array.fill(d)(true), 0, d)
+    assert(v.capacity == d && v.groupCountOf(0) == d)
+    exact() // list positions up to 65,535 in a 16-bit inverse
+    v.insert(d, biases(d))
+    assert(v.capacity == 2 * d && v.groupCountOf(0) == d + 1)
+    exact()
+    assert(v.delete(0) && v.delete(d - 1)) // compaction moves read the widened positions
+    exact()
+  }
+
   // ---------------- adaptive classification (Eq. 9) ----------------
 
   test("classification: one-element beats dense on ties") {

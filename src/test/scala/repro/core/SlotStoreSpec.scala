@@ -176,6 +176,40 @@ class SlotStoreSpec extends AnyFunSuite {
     assert(s.degree == 0)
   }
 
+  for ((mode, base) <- Seq("scan" -> 8, "index" -> (SlotStore.MaxScan + 8))) {
+    test(s"nextDup ring: none while no dst repeats, started by a repeat in the middle of a batch, dropped with the last repeat ($mode mode)") {
+      val universe = 0 until base + 4
+      val s = new TaggedStore
+      var model = applyBatch(s, Map.empty, (0 until base).map(x => (x, 1000 + x)), Seq(2, base + 3), false, universe, "distinct")
+      assert(!s.ringed && s.indexed == (mode == "index"))
+      // two new dsts, a repeat of 3, one more new dst, a second repeat of 3 and a repeat of a dst new in this batch
+      val ins = Seq((base, 1), (base + 1, 2), (3, 3), (base + 2, 4), (3, 5), (base + 1, 6))
+      model = applyBatch(s, model, ins, Nil, true, universe, "first repeats")
+      assert(s.ringed && s.tagsOf(3) == Seq(1003, 3, 5) && s.tagsOf(base + 1) == Seq(2, 6) && s.tagsOf(base) == Seq(1))
+      // each delete takes the earliest instance; the last repeat's delete drops the ring
+      model = applyBatch(s, model, Nil, Seq(3, base + 1, 0, 3), false, universe, "deletes")
+      assert(!s.ringed && s.tagsOf(3) == Seq(5) && s.tagsOf(base + 1) == Seq(6))
+      // an edge deleted and inserted again in one batch: both instances live only inside the batch
+      model = applyBatch(s, model, Seq((3, 7), (0, 8)), Seq(3), true, universe, "delete and insert again")
+      assert(!s.ringed && s.tagsOf(3) == Seq(7) && s.tagsOf(0) == Seq(8))
+    }
+  }
+
+  test("nextDup ring: a seeded differential test without a repeated dst never starts one") {
+    val rnd = new Random(5151)
+    val universe = 0 until 120
+    val s = new TaggedStore
+    var model: Model = Map.empty
+    var nextTag = 0
+    (0 until 300).foreach { b =>
+      val absent = rnd.shuffle(universe.filterNot(model.contains).toList)
+      val ins = absent.take(rnd.nextInt(if (b % 60 < 30) 12 else 3)).map { x => nextTag += 1; (x, nextTag) }
+      val dels = Seq.fill(rnd.nextInt(if (b % 60 < 30) 4 else 12))(universe(rnd.nextInt(universe.size)))
+      model = applyBatch(s, model, ins, dels, rnd.nextBoolean(), universe, s"batch $b")
+      assert(!s.ringed, s"batch $b")
+    }
+  }
+
   test("dst index: seeded differential test, a few duplicated dsts crossing the scan threshold both ways") {
     val rnd = new Random(3232)
     val universe = Vector(3, 8, 21, 40, 77, 1 << 20) // the last one is never inserted

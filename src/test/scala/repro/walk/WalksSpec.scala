@@ -178,6 +178,65 @@ class WalksSpec extends AnyFunSuite with SparkSpec with Tolerance {
     assert(tv < 0.02, s"TV=$tv")
   }
 
+  /** `eng` as it is, counting its [[WalkEngine.hasEdge]] calls. */
+  private final class CountingEngine(eng: WalkEngine) extends WalkEngine {
+    var hasEdgeCalls = 0L
+    def name: String = eng.name
+    def numVertices: Int = eng.numVertices
+    def outDegree(v: Int): Int = eng.outDegree(v)
+    def hasEdge(u: Int, v: Int): Boolean = { hasEdgeCalls += 1; eng.hasEdge(u, v) }
+    def applyVertexUpdates(src: Int, updates: Seq[Update]): Unit = eng.applyVertexUpdates(src, updates)
+    def postRoundSlice(slice: Int, stride: Int): Unit = eng.postRoundSlice(slice, stride)
+    def sampleNext(u: Int, rng: SplittableRandom): Int = eng.sampleNext(u, rng)
+    def memoryBytes: Long = eng.memoryBytes
+    def exactDistribution(u: Int): Map[Int, Double] = eng.exactDistribution(u)
+  }
+
+  /** A node2vec path by the rule that asks [[WalkEngine.hasEdge]] for every
+    * candidate but the previous vertex, and how many times it asked.
+    */
+  private def askingPath(eng: WalkEngine, app: Walks.Node2vec, start: Int, rng: SplittableRandom): (Seq[Int], Long) = {
+    val maxF = math.max(1.0, math.max(1.0 / app.p, 1.0 / app.q))
+    var calls = 0L
+    def hop(prev: Int, cur: Int): Int = {
+      var tries = 0
+      while (tries < 10000) {
+        val cand = eng.sampleNext(cur, rng)
+        if (cand < 0) return -1
+        val f = if (cand == prev) 1.0 / app.p else { calls += 1; if (eng.hasEdge(prev, cand)) 1.0 else 1.0 / app.q }
+        if (rng.nextDouble() * maxF < f) return cand
+        tries += 1
+      }
+      -1
+    }
+    val path = scala.collection.mutable.ArrayBuffer(start)
+    var nxt = start
+    while (nxt >= 0 && path.length < app.length) {
+      nxt = if (path.length > 1) hop(path(path.length - 2), path.last) else eng.sampleNext(path.last, rng)
+      if (nxt >= 0) path += nxt
+    }
+    (path.toSeq, calls)
+  }
+
+  test("node2vec: hasEdge only for a dart between 1 and 1/q; the paths of the rule that always asks") {
+    val (v, edges) = mkGraph(27, v = 30, minDeg = 5)
+    for (base <- Seq(BingoEngine.factory().build(v, edges), KnightKingEngine.factory.build(v, edges));
+         (p, q) <- Seq((0.5, 2.0), (2.0, 0.5), (0.25, 4.0), (1.0, 1.0))) {
+      val app = Walks.Node2vec(30, p, q)
+      val eng = new CountingEngine(base)
+      var asked = 0L
+      (0 until 200).foreach { w =>
+        val (want, calls) = askingPath(base, app, w % v, Walks.walkerRng(7, w))
+        asked += calls
+        assert(Walks.walkPath(eng, app, w % v, Walks.walkerRng(7, w)).toSeq == want, s"${base.name} p=$p q=$q walker $w")
+      }
+      val ctx = s"${base.name} p=$p q=$q: ${eng.hasEdgeCalls} hasEdge calls against $asked"
+      if (q == 1.0) assert(eng.hasEdgeCalls == 0 && asked > 0, ctx)
+      else assert(eng.hasEdgeCalls > 0 && eng.hasEdgeCalls < asked, ctx)
+      info(ctx)
+    }
+  }
+
   // ---------------- parameter validation ----------------
 
   private val invalidApps: Seq[(String, () => Walks.WalkApp)] = Seq(
